@@ -5,7 +5,9 @@ quantile rule and under expected shortfall, and builds the two constructions
 that drive summed quantile capital to zero: interval tranches and randomized
 subsidiary assignment. A small solver finds the cheapest tranche structure
 when the number of units is capped or penalized, and the CLI wraps the whole
-pipeline with seeded Monte Carlo verification.
+pipeline with seeded Monte Carlo verification. The CLI is imported from
+:mod:`varsplit.cli`, never from here, so ``python -m varsplit.cli`` runs a
+single copy of that module.
 """
 
 from .capital_solver import (
@@ -16,16 +18,6 @@ from .capital_solver import (
     brute_force_oracle,
     solve_tranche_dp,
     solve_with_overhead,
-)
-from .cli import (
-    RESTRICTION_NOTE,
-    CapitalReport,
-    CliCommand,
-    TrancheRow,
-    emit_report,
-    main,
-    parse_cli,
-    run_simulation,
 )
 from .errors import (
     AtomTooHeavy,
@@ -42,6 +34,7 @@ from .errors import (
     VarsplitError,
 )
 from .loss_model import (
+    MASS_GUARD,
     Interval,
     LossModel,
     atoms,
@@ -69,7 +62,6 @@ from .risk_measures import (
     var_of_tranche,
 )
 from .structuring import (
-    MASS_GUARD,
     Partition,
     RandomizedScheme,
     SchemeValidity,

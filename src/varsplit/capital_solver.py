@@ -10,7 +10,8 @@ group depends only on its right edge. Reading the group (k+1..j) against the
 prefix masses S, its quantile is zero exactly when S[k] > S[j] - (1 - alpha),
 and otherwise equals the value of the first atom t with S[t] > S[j] - (1 -
 alpha). That atom is the same for every left edge k, so each right edge j
-carries a single precomputed cost and a single threshold index.
+carries a single precomputed cost and a single threshold index
+(:meth:`DiscreteLaw.top`, which also prices tranches and oracle groups).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBounds, TooManyAtoms
-from .loss_model import LossModel, order_stat_rank
+from .loss_model import LossModel
 from .risk_measures import RiskLevel, as_level
 from .structuring import Partition
 
@@ -91,62 +92,31 @@ class SolveResult:
     objective: float
 
 
-def _float_tables(values: np.ndarray, masses: np.ndarray, alpha: float):
-    """Right-edge cost tables from float prefix masses (atom lists)."""
-    pos = values > 0.0
-    pvals = np.asarray(values[pos], dtype=float)
-    spre = np.concatenate(([0.0], np.cumsum(masses[pos])))
-    thr = spre[1:] - (1.0 - alpha)
-    tstar = np.searchsorted(spre, thr, side="right")
-    return pvals, tstar
-
-
-def _count_tables(samples: np.ndarray, alpha: float):
-    """Right-edge cost tables from integer sample counts (empirical data).
-
-    Working in counts keeps every comparison exact and reproduces the order
-    statistic convention of the sample quantile: with rank r = floor(n *
-    alpha) + 1 capped at n, a group is free exactly when its sample count
-    stays at or below n - r.
-    """
-    n = samples.size
-    vals, counts = np.unique(samples, return_counts=True)
-    pos = vals > 0.0
-    pvals = np.asarray(vals[pos], dtype=float)
-    cpre = np.concatenate(([0], np.cumsum(counts[pos])))
-    rank = order_stat_rank(n, alpha)
-    thr = cpre[1:] - (n - rank)
-    tstar = np.searchsorted(cpre, thr, side="left")
-    return pvals, tstar
-
-
 def _tranche_tables(model: LossModel, alpha: float):
     """Positive atom values and per-right-edge threshold indices.
 
     For a right edge j (1-based), the group (k+1..j) has zero quantile if and
     only if k >= tstar[j-1]; otherwise its quantile is pvals[tstar[j-1] - 1].
     """
-    if model.kind == "uniform":
+    law = model.law
+    if law is None:
         raise TooManyAtoms(
             "continuous support has no finite atom list; discretize first"
         )
-    if model.kind == "atoms":
-        if model.values.size > MAX_SOLVER_ATOMS:
-            raise TooManyAtoms(
-                f"{model.values.size} atoms exceed the solver bound {MAX_SOLVER_ATOMS}"
-            )
-        return _float_tables(model.values, model.probs, alpha)
-    distinct = np.unique(model.samples)
-    if distinct.size > MAX_SOLVER_ATOMS:
+    if law.values.size > MAX_SOLVER_ATOMS:
         raise TooManyAtoms(
-            f"{distinct.size} distinct sample values exceed the solver bound "
+            f"{law.values.size} distinct support points exceed the solver bound "
             f"{MAX_SOLVER_ATOMS}"
         )
-    return _count_tables(model.samples, alpha)
+    s = int(law.values[0] == 0.0)  # the DP groups the positive atoms only
+    tops = law.top(np.arange(s + 1, law.values.size + 1), alpha)
+    return law.values[s:], np.maximum(tops - s, 0)
 
 
 def _dp_rows(tstar: np.ndarray, varpt: np.ndarray, rmax: int):
     """Suffix tables row by row: rows[r][i] covers atoms i..mp with r groups.
+
+    Stops after the first row whose full-support capital rows[r][1] is 0.
 
     Both branches of the recurrence are amortized O(1) per state. Free groups
     ending before index tstar reach the previous row through a sliding-window
@@ -158,8 +128,6 @@ def _dp_rows(tstar: np.ndarray, varpt: np.ndarray, rmax: int):
     prev = np.full(mp + 2, np.inf)
     prev[mp + 1] = 0.0
     rows = [prev]
-    best = np.inf
-    gstar = 0
     for r in range(1, rmax + 1):
         cur = np.full(mp + 2, np.inf)
         bcost = np.full(mp + 2, np.inf)
@@ -185,12 +153,9 @@ def _dp_rows(tstar: np.ndarray, varpt: np.ndarray, rmax: int):
             cur[i] = zmin if zmin <= rmin else rmin
         rows.append(cur)
         prev = cur
-        if cur[1] < best:
-            best = cur[1]
-            gstar = r
-        if best == 0.0:
+        if cur[1] == 0.0:
             break
-    return float(best), gstar, rows
+    return rows
 
 
 def _walk_cuts(rows, tstar, varpt, pvals, gstar: int, max_loss: float) -> Partition:
@@ -222,6 +187,37 @@ def _walk_cuts(rows, tstar, varpt, pvals, gstar: int, max_loss: float) -> Partit
     return Partition(tuple(cuts))
 
 
+def _solve(
+    model: LossModel, level: RiskLevel | float, n_max: int, sched: OverheadSchedule
+) -> SolveResult:
+    """Minimize capital(N) + overhead(N) over N = 1..n_max with one DP pass.
+
+    capital(N) is the prefix minimum of rows[r][1] over r <= N, reached first
+    at g(N) groups. Past the last row capital stays put and a nondecreasing
+    schedule costs no less, so no larger N can win; ties go to smaller N.
+    """
+    lvl = as_level(level)
+    pvals, tstar = _tranche_tables(model, lvl.alpha)
+    mp = pvals.size
+    if mp == 0:
+        raise InvalidBounds("all loss mass sits at zero; there is nothing to split")
+    varpt = pvals[np.maximum(tstar, 1) - 1]
+    rows = _dp_rows(tstar, varpt, min(n_max, mp))
+    capital, groups = np.inf, 0
+    best = None
+    for n_units in range(1, len(rows)):
+        if rows[n_units][1] < capital:
+            capital, groups = float(rows[n_units][1]), n_units
+        obj = capital + sched.cost(n_units)
+        if best is None or obj < best[0]:
+            best = (obj, capital, groups)
+    obj, capital, groups = best
+    partition = _walk_cuts(rows, tstar, varpt, pvals, groups, model.max_loss)
+    return SolveResult(
+        best_n=groups, partition=partition, capital=capital, objective=float(obj)
+    )
+
+
 def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> SolveResult:
     """Cheapest split of the support into at most n contiguous tranches.
 
@@ -229,59 +225,34 @@ def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> Solv
     smallest cut vector, so the result is reproducible. Cuts land midway
     between adjacent support points.
     """
-    lvl = as_level(level)
     if n < 1:
         raise InvalidBounds(f"need at least one tranche, got {n}")
-    pvals, tstar = _tranche_tables(model, lvl.alpha)
-    mp = pvals.size
-    if mp == 0:
-        raise InvalidBounds("all loss mass sits at zero; there is nothing to split")
-    varpt = pvals[np.maximum(tstar, 1) - 1]
-    best, gstar, rows = _dp_rows(tstar, varpt, min(n, mp))
-    partition = _walk_cuts(rows, tstar, varpt, pvals, gstar, model.max_loss)
-    return SolveResult(
-        best_n=gstar, partition=partition, capital=best, objective=best
-    )
-
-
-def _group_var_direct(values, masses, a: int, b: int, alpha: float) -> float:
-    """Strict quantile of one atom group, by direct cumulative scan."""
-    seg = slice(a, b)
-    pos = values[seg] > 0.0
-    pv = values[seg][pos]
-    pm = masses[seg][pos]
-    if pv.size == 0:
-        return 0.0
-    cums = np.cumsum(np.concatenate(([1.0 - float(np.sum(pm))], pm)))
-    idx = int(np.searchsorted(cums, alpha, side="right"))
-    if idx == 0:
-        return 0.0
-    return float(pv[min(idx, pv.size) - 1])
+    return _solve(model, level, n, OverheadSchedule.none())
 
 
 def brute_force_oracle(model: LossModel, level: RiskLevel | float, n: int) -> float:
     """Minimal capital over at most n contiguous groups, by full enumeration.
 
     Exponential in the atom count, so capped hard; meant as an independent
-    check on the dynamic program, not for production use.
+    check on the dynamic program, not for production use. Groups are priced
+    by :meth:`DiscreteLaw.unit_var`, the rule every tranche quantile uses.
     """
     alpha = as_level(level).alpha
-    if model.kind != "atoms":
+    law = model.law
+    if law is None:
         raise InvalidBounds("the oracle enumerates explicit atom lists only")
-    m = model.values.size
+    m = law.values.size
     if m > MAX_ORACLE_ATOMS:
         raise TooManyAtoms(f"{m} atoms exceed the oracle bound {MAX_ORACLE_ATOMS}")
     if n < 1:
         raise InvalidBounds(f"need at least one group, got {n}")
-    values = model.values
-    masses = model.probs
     best = np.inf
     for r in range(1, min(n, m) + 1):
         for inner in itertools.combinations(range(1, m), r - 1):
             bounds = (0, *inner, m)
             total = 0.0
             for a, b in zip(bounds, bounds[1:]):
-                total += _group_var_direct(values, masses, a, b, alpha)
+                total += law.unit_var(a, b, alpha)
             if total < best:
                 best = total
     return float(best)
@@ -295,9 +266,9 @@ def solve_with_overhead(
 ) -> SolveResult:
     """Minimize capital(N) + overhead(N) over unit counts N = 1..n_max.
 
-    Each N gets its own tranche solve; ties break toward smaller N. With a
-    nondecreasing schedule the winning N always equals the number of groups
-    its partition actually uses.
+    capital(N) is the cheapest split into at most N tranches; ties break
+    toward smaller N. With a nondecreasing schedule the winning N always
+    equals the number of groups its partition actually uses.
     """
     if n_max < 1:
         raise InvalidBounds(f"need at least one unit, got {n_max}")
@@ -306,15 +277,4 @@ def solve_with_overhead(
         raise InvalidBounds(
             f"table overhead covers 1..{len(sched.costs)} units, need {n_max}"
         )
-    best: SolveResult | None = None
-    for n_units in range(1, n_max + 1):
-        res = solve_tranche_dp(model, level, n_units)
-        obj = res.capital + sched.cost(n_units)
-        if best is None or obj < best.objective:
-            best = SolveResult(
-                best_n=res.best_n,
-                partition=res.partition,
-                capital=res.capital,
-                objective=float(obj),
-            )
-    return best
+    return _solve(model, level, n_max, sched)

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class CliCommand:
     tranches: int | None
     subsidiaries: int | None
     max_desks: int | None
-    overhead: tuple
+    overhead: OverheadSchedule
     trials: int
     seed: int
     format: str
@@ -120,15 +120,14 @@ def _parse_dist(text: str) -> dict:
     raise ValueError(f"unknown distribution {kind!r}; use uniform:a,b or atoms:v:p,...")
 
 
-def _parse_overhead(text: str) -> tuple:
+def _parse_overhead(text: str) -> OverheadSchedule:
     if text == "none":
-        return ("none",)
+        return OverheadSchedule.none()
     kind, _, rest = text.partition(":")
     if kind == "linear":
-        return ("linear", float(rest))
+        return OverheadSchedule.linear(float(rest))
     if kind == "table":
-        costs = tuple(float(c) for c in rest.split(","))
-        return ("table", costs)
+        return OverheadSchedule.table(float(c) for c in rest.split(","))
     raise ValueError(
         f"unknown overhead {kind!r}; use none, linear:c or table:c1,c2,..."
     )
@@ -340,14 +339,7 @@ def _randomize_report(model: LossModel, level: RiskLevel, command: CliCommand):
 
 
 def _solve_report(model: LossModel, level: RiskLevel, command: CliCommand):
-    kind = command.overhead[0]
-    if kind == "none":
-        sched = OverheadSchedule.none()
-    elif kind == "linear":
-        sched = OverheadSchedule.linear(command.overhead[1])
-    else:
-        sched = OverheadSchedule.table(command.overhead[1])
-    res = solve_with_overhead(model, level, command.max_desks, sched)
+    res = solve_with_overhead(model, level, command.max_desks, command.overhead)
     dec = decompose(model, res.partition, level)
     ivs = res.partition.intervals()
     rows = [
@@ -377,32 +369,8 @@ def run_simulation(command: CliCommand) -> CapitalReport:
     return _solve_report(model, level, command)
 
 
-def _row_dict(row: TrancheRow) -> dict:
-    return {
-        "mass": row.mass,
-        "var_analytic": row.var_analytic,
-        "var_empirical": row.var_empirical,
-        "es_analytic": row.es_analytic,
-    }
-
-
 def _to_json(report: CapitalReport) -> str:
-    doc = {
-        "alpha": report.alpha,
-        "model": report.model,
-        "n_units": report.n_units,
-        "cuts": list(report.cuts),
-        "tranches": [_row_dict(row) for row in report.tranches],
-        "var_total": report.var_total,
-        "es_total": report.es_total,
-        "sum_tranche_vars": report.sum_tranche_vars,
-        "sum_tranche_es": report.sum_tranche_es,
-        "additivity_gap": report.additivity_gap,
-        "trials": report.trials,
-        "seed": report.seed,
-        "restriction_note": report.restriction_note,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(asdict(report), indent=2) + "\n"
 
 
 def _cell(value) -> str:

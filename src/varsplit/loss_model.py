@@ -10,6 +10,10 @@ Three model variants cover everything the rest of the package needs:
 All losses live on ``[0, max_loss]``. Quantiles follow the strict-inequality
 convention ``inf {x : P(X <= x) > p}``, which is what makes mass-starved
 tranches carry a quantile of exactly zero.
+
+Both discrete variants are held as one :class:`DiscreteLaw`, and every
+comparison of a prefix weight with a level goes through
+:func:`level_weight`, so the two variants decide boundary cases alike.
 """
 
 from __future__ import annotations
@@ -33,6 +37,13 @@ from .errors import (
 
 #: Absolute tolerance for "probabilities sum to one".
 PROB_TOL = 1e-12
+
+#: Slack on the strict comparison "prefix weight > level". Levels like 0.95
+#: are decimal constants whose float image lands a few ulps off the intended
+#: value, and atom probabilities carry the same dust; raising every level by
+#: this margin puts exact ties, such as a cumulative mass of exactly 0.95 at
+#: level 0.95, on the side the strict inequality puts them.
+MASS_GUARD = 1e-12
 
 ModelKind = Literal["atoms", "empirical", "uniform"]
 
@@ -72,6 +83,67 @@ class Interval:
         return self.lo <= x < self.hi
 
 
+def level_weight(p: float, total: float) -> float:
+    """The weight a prefix must strictly exceed to pass level ``p`` of ``total``.
+
+    This is the package's one boundary rule: a prefix weight W exceeds level
+    p exactly when ``W > level_weight(p, total)``.
+    """
+    return (p + MASS_GUARD) * total
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteLaw:
+    """Distinct increasing values with positive weights over a common total.
+
+    Atom lists carry their probabilities over a total of 1; empirical data
+    carries integer counts over a total of n, so every prefix weight of a
+    sample is exact. ``cum[k]`` is the weight of ``values[:k]``; ``cum[0]``
+    is 0 and ``cum[-1]`` is pinned to ``total`` so that the top of the
+    support absorbs any rounding dust.
+    """
+
+    values: np.ndarray
+    weights: np.ndarray
+    cum: np.ndarray
+    total: float
+
+    @classmethod
+    def of(cls, values: np.ndarray, weights: np.ndarray, total: float) -> DiscreteLaw:
+        cum = np.concatenate(([0.0], np.cumsum(weights)))
+        cum[-1] = total
+        return cls(values, weights, _readonly(cum), float(total))
+
+    def span(self, iv: Interval) -> tuple[int, int]:
+        """Index range ``[a, b)`` of the values inside ``iv``."""
+        a = int(np.searchsorted(self.values, iv.lo, side="left"))
+        side = "right" if iv.closed_hi else "left"
+        return a, max(a, int(np.searchsorted(self.values, iv.hi, side=side)))
+
+    def top(self, b, alpha: float):
+        """Pricing index of a unit that bears the loss on ``values[a:b]``.
+
+        The unit's loss is 0 with weight ``total - (cum[b] - cum[a])``, so its
+        strict quantile at ``alpha`` is 0 when ``a >= top`` and
+        ``values[top - 1]`` otherwise, whatever ``a`` is. Accepts an array of
+        right edges ``b``.
+        """
+        thr = self.cum[b] - self.total + level_weight(alpha, self.total)
+        return np.minimum(np.searchsorted(self.cum, thr, side="right"), b)
+
+    def unit_var(self, a: int, b: int, alpha: float) -> float:
+        """Strict quantile of X * 1{X among values[a:b]} at level alpha."""
+        t = int(self.top(b, alpha))
+        return 0.0 if a >= t else float(self.values[t - 1])
+
+    def tail(self, a: int, b: int, p: float) -> float:
+        """Integral over levels (p, 1) of the quantile of X * 1{X among values[a:b]}."""
+        shift = self.total - self.cum[b]
+        lo = np.maximum(self.cum[a:b] + shift, p * self.total)
+        hi = np.minimum(self.cum[a + 1 : b + 1] + shift, self.total)
+        return float(np.dot(self.values[a:b], np.clip(hi - lo, 0.0, None))) / self.total
+
+
 def intervals_from_cuts(cuts: Sequence[float]) -> list[Interval]:
     """Turn increasing cut points into consecutive intervals.
 
@@ -103,9 +175,8 @@ class LossModel:
     lower: float = 0.0
     upper: float = 0.0
     max_loss: float = field(init=False, default=0.0)
-    # Cumulative atom probabilities, with the final entry pinned to 1.0 so the
-    # top of the support always answers cdf == 1 despite rounding dust.
-    _cum: np.ndarray | None = field(init=False, default=None, repr=False)
+    #: The discrete law behind ``atoms`` and ``empirical``; None for uniform.
+    law: DiscreteLaw | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.kind == "atoms":
@@ -141,9 +212,7 @@ class LossModel:
             raise ProbsNotNormalized(
                 f"atom probabilities must sum to 1 within {PROB_TOL}, got {total!r}"
             )
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
-        object.__setattr__(self, "_cum", _readonly(cum))
+        object.__setattr__(self, "law", DiscreteLaw.of(values, probs, 1.0))
         object.__setattr__(self, "max_loss", float(values[-1]))
 
     def _init_empirical(self):
@@ -156,8 +225,13 @@ class LossModel:
             raise InvalidBounds("samples must be finite")
         if np.any(samples < 0.0):
             raise NegativeLoss(f"samples must be >= 0, got min {samples.min()}")
-        if samples.size > 1 and np.any(np.diff(samples) < 0.0):
+        steps = np.diff(samples)
+        if np.any(steps < 0.0):
             raise InvalidBounds("samples must be sorted nondecreasing")
+        starts = np.concatenate(([0], np.flatnonzero(steps > 0.0) + 1))
+        counts = np.diff(np.append(starts, samples.size)).astype(float)
+        law = DiscreteLaw.of(_readonly(samples[starts]), _readonly(counts), samples.size)
+        object.__setattr__(self, "law", law)
         object.__setattr__(self, "max_loss", float(samples[-1]))
 
     def _init_uniform(self):
@@ -219,12 +293,10 @@ def describe(model: LossModel) -> str:
 def cdf(model: LossModel, x: float) -> float:
     """Right-continuous distribution function ``P(X <= x)``."""
     x = float(x)
-    if model.kind == "atoms":
-        idx = int(np.searchsorted(model.values, x, side="right"))
-        return float(model._cum[idx - 1]) if idx > 0 else 0.0
-    if model.kind == "empirical":
-        n = model.samples.size
-        return float(np.searchsorted(model.samples, x, side="right")) / n
+    law = model.law
+    if law is not None:
+        idx = int(np.searchsorted(law.values, x, side="right"))
+        return float(law.cum[idx]) / law.total
     if x < model.lower:
         return 0.0
     if x >= model.upper:
@@ -234,44 +306,35 @@ def cdf(model: LossModel, x: float) -> float:
 
 def order_stat_rank(n: int, p: float) -> int:
     """1-based order-statistic rank backing the strict quantile for samples."""
-    return min(n, math.floor(n * p) + 1)
+    return min(n, math.floor(level_weight(p, n)) + 1)
 
 
 def quantile_strict(model: LossModel, p: float) -> float:
     """Strict-inequality quantile ``inf {x : cdf(x) > p}`` for p in (0, 1).
 
     For the empirical variant this is the order statistic of rank
-    ``floor(n * p) + 1``.
+    :func:`order_stat_rank`.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise InvalidLevel(f"quantile level must lie in (0, 1), got {p}")
-    if model.kind == "atoms":
-        idx = int(np.searchsorted(model._cum, p, side="right"))
-        return float(model.values[min(idx, model.values.size - 1)])
-    if model.kind == "empirical":
-        rank = order_stat_rank(model.samples.size, p)
-        return float(model.samples[rank - 1])
+    law = model.law
+    if law is not None:
+        return law.unit_var(0, law.values.size, p)
     return model.lower + p * (model.upper - model.lower)
 
 
 def mass_in(model: LossModel, iv: Interval) -> float:
     """Probability that a loss falls inside ``iv`` under its closure rule."""
-    if model.kind == "uniform":
-        lo = max(iv.lo, model.lower)
-        hi = min(iv.hi, model.upper)
-        if hi <= lo:
-            return 0.0
-        return (hi - lo) / (model.upper - model.lower)
-    pts = model.values if model.kind == "atoms" else model.samples
-    left = int(np.searchsorted(pts, iv.lo, side="left"))
-    side = "right" if iv.closed_hi else "left"
-    right = int(np.searchsorted(pts, iv.hi, side=side))
-    if right <= left:
+    law = model.law
+    if law is not None:
+        a, b = law.span(iv)
+        return float(np.sum(law.weights[a:b])) / law.total
+    lo = max(iv.lo, model.lower)
+    hi = min(iv.hi, model.upper)
+    if hi <= lo:
         return 0.0
-    if model.kind == "atoms":
-        return float(np.sum(model.probs[left:right]))
-    return float(right - left) / pts.size
+    return (hi - lo) / (model.upper - model.lower)
 
 
 def sample(model: LossModel, seed: int, n: int) -> np.ndarray:
@@ -283,26 +346,20 @@ def sample(model: LossModel, seed: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    if model.kind == "uniform":
+    law = model.law
+    if law is None:
         return rng.uniform(model.lower, model.upper, size=n)
     u = rng.random(n)
-    if model.kind == "atoms":
-        idx = np.searchsorted(model._cum, u, side="right")
-        idx = np.minimum(idx, model.values.size - 1)
-        return model.values[idx].copy()
-    m = model.samples.size
-    idx = np.minimum((u * m).astype(np.int64), m - 1)
-    return model.samples[idx].copy()
+    idx = np.searchsorted(law.cum[1:], u * law.total, side="right")
+    return law.values[np.minimum(idx, law.values.size - 1)]
 
 
 def distinct_atoms(model: LossModel) -> tuple[np.ndarray, np.ndarray]:
     """Distinct support points and their masses for a discrete model."""
-    if model.kind == "atoms":
-        return model.values.copy(), model.probs.copy()
-    if model.kind == "empirical":
-        vals, counts = np.unique(model.samples, return_counts=True)
-        return vals, counts / model.samples.size
-    raise InvalidBounds("a uniform model has no finite atom support")
+    law = model.law
+    if law is None:
+        raise InvalidBounds("a uniform model has no finite atom support")
+    return law.values.copy(), law.weights / law.total
 
 
 def load_losses_csv(path) -> LossModel:

@@ -12,15 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidLevel
-from .loss_model import (
-    Interval,
-    LossModel,
-    order_stat_rank,
-    quantile_strict,
-)
+from .loss_model import Interval, LossModel, quantile_strict
 
 
 @dataclass(frozen=True)
@@ -48,14 +41,6 @@ def var(model: LossModel, level: RiskLevel | float) -> float:
     return quantile_strict(model, as_level(level).alpha)
 
 
-def _step_tail_integral(values: np.ndarray, cum_lo: np.ndarray, cum_hi: np.ndarray, p: float) -> float:
-    """Integral over (p, 1) of a step quantile taking values[k] on [cum_lo[k], cum_hi[k])."""
-    hi = np.minimum(cum_hi, 1.0)
-    lo = np.maximum(cum_lo, p)
-    overlap = np.clip(hi - lo, 0.0, None)
-    return float(np.dot(values, overlap))
-
-
 def tail_integral(model: LossModel, p: float) -> float:
     """Integral of the strict quantile over the probability slab (p, 1).
 
@@ -64,40 +49,19 @@ def tail_integral(model: LossModel, p: float) -> float:
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise InvalidLevel(f"tail integral needs p in [0, 1), got {p}")
-    if model.kind == "uniform":
-        a, b = model.lower, model.upper
-        return a * (1.0 - p) + (b - a) * (1.0 - p * p) / 2.0
-    if model.kind == "atoms":
-        cum_hi = np.asarray(model._cum)
-        cum_lo = np.concatenate(([0.0], cum_hi[:-1]))
-        return _step_tail_integral(model.values, cum_lo, cum_hi, p)
-    n = model.samples.size
-    grid = np.arange(n + 1) / n
-    return _step_tail_integral(model.samples, grid[:-1], grid[1:], p)
+    law = model.law
+    if law is not None:
+        return law.tail(0, law.values.size, p)
+    a, b = model.lower, model.upper
+    return a * (1.0 - p) + (b - a) * (1.0 - p * p) / 2.0
 
 
 def expected_shortfall(model: LossModel, level: RiskLevel | float) -> float:
     """Average of the strict quantile over the upper tail (alpha, 1)."""
     alpha = as_level(level).alpha
-    if model.kind == "uniform":
+    if model.law is None:
         return model.lower + (model.upper - model.lower) * (1.0 + alpha) / 2.0
     return tail_integral(model, alpha) / (1.0 - alpha)
-
-
-def _tranche_atoms(model: LossModel, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
-    """Positive support points of X restricted to iv, with their masses."""
-    vals, masses = (
-        (model.values, model.probs)
-        if model.kind == "atoms"
-        else (model.samples, np.full(model.samples.size, 1.0 / model.samples.size))
-    )
-    left = int(np.searchsorted(vals, iv.lo, side="left"))
-    side = "right" if iv.closed_hi else "left"
-    right = int(np.searchsorted(vals, iv.hi, side=side))
-    v = vals[left:right]
-    m = masses[left:right]
-    keep = v > 0.0
-    return v[keep], m[keep]
 
 
 def var_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> float:
@@ -108,58 +72,37 @@ def var_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> 
     the smallest x in iv with (1 - q) + P(X in iv, 0 < X <= x) > alpha.
     """
     alpha = as_level(level).alpha
-    if model.kind == "uniform":
-        lo = max(iv.lo, model.lower)
-        hi = min(iv.hi, model.upper)
-        if hi <= lo:
-            return 0.0
-        width = model.upper - model.lower
-        q = (hi - lo) / width
-        base = 1.0 - q
-        if base > alpha:
-            return 0.0
-        return lo + (alpha - base) * width
-    if model.kind == "empirical":
-        # Counting route: the tranche sample vector is pv.size positive
-        # entries plus zeros, so its strict quantile is an order statistic.
-        n = model.samples.size
-        pv, _ = _tranche_atoms(model, iv)
-        zeros = n - pv.size
-        rank = order_stat_rank(n, alpha)
-        if rank <= zeros:
-            return 0.0
-        return float(pv[rank - zeros - 1])
-    pv, pm = _tranche_atoms(model, iv)
-    q = float(np.sum(pm))
-    base = 1.0 - q
-    cums = np.cumsum(np.concatenate(([base], pm)))
-    idx = int(np.searchsorted(cums, alpha, side="right"))
-    if idx == 0:
+    law = model.law
+    if law is not None:
+        return law.unit_var(*law.span(iv), alpha)
+    lo = max(iv.lo, model.lower)
+    hi = min(iv.hi, model.upper)
+    if hi <= lo:
         return 0.0
-    return float(pv[min(idx, pv.size) - 1])
+    width = model.upper - model.lower
+    q = (hi - lo) / width
+    base = 1.0 - q
+    if base > alpha:
+        return 0.0
+    return lo + (alpha - base) * width
 
 
 def es_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> float:
     """Expected shortfall of the tranche loss X * 1{X in iv}."""
     alpha = as_level(level).alpha
-    if model.kind == "uniform":
-        lo = max(iv.lo, model.lower)
-        hi = min(iv.hi, model.upper)
-        if hi <= lo:
-            return 0.0
-        width = model.upper - model.lower
-        q = (hi - lo) / width
-        base = 1.0 - q
-        u0 = max(alpha, base)
-        integral = lo * (1.0 - u0) + width * (q * q - (u0 - base) ** 2) / 2.0
-        return integral / (1.0 - alpha)
-    pv, pm = _tranche_atoms(model, iv)
-    if pv.size == 0:
+    law = model.law
+    if law is not None:
+        return law.tail(*law.span(iv), alpha) / (1.0 - alpha)
+    lo = max(iv.lo, model.lower)
+    hi = min(iv.hi, model.upper)
+    if hi <= lo:
         return 0.0
-    q = float(np.sum(pm))
-    cum_hi = (1.0 - q) + np.cumsum(pm)
-    cum_lo = np.concatenate(([1.0 - q], cum_hi[:-1]))
-    return _step_tail_integral(pv, cum_lo, cum_hi, alpha) / (1.0 - alpha)
+    width = model.upper - model.lower
+    q = (hi - lo) / width
+    base = 1.0 - q
+    u0 = max(alpha, base)
+    integral = lo * (1.0 - u0) + width * (q * q - (u0 - base) ** 2) / 2.0
+    return integral / (1.0 - alpha)
 
 
 def additivity_gap(model: LossModel, partition, level: RiskLevel | float) -> float:

@@ -19,11 +19,12 @@ from .errors import (
     OutOfSupport,
     PartitionMismatch,
 )
-from .loss_model import (
+from .loss_model import (  # MASS_GUARD stays importable from here
+    MASS_GUARD,
     Interval,
     LossModel,
-    distinct_atoms,
     intervals_from_cuts,
+    level_weight,
     mass_in,
     quantile_strict,
 )
@@ -34,16 +35,10 @@ from .risk_measures import (
     var_of_tranche,
 )
 
-#: Slack applied to the strict mass bound ``mass < 1 - alpha``. Levels like
-#: 0.95 are decimal constants whose float image makes ``1 - alpha`` land a few
-#: ulps off the intended value; comparing against the guarded bound keeps
-#: boundary cases such as mass exactly 1/20 at alpha 0.95 on the infeasible
-#: side, where the strict inequality puts them.
-MASS_GUARD = 1e-12
-
 
 def _mass_ok(mass: float, alpha: float) -> bool:
-    return mass < (1.0 - alpha) - MASS_GUARD
+    """Strict mass bound ``mass < 1 - alpha``: the rest of the law passes alpha."""
+    return 1.0 - mass > level_weight(alpha, 1.0)
 
 
 @dataclass(frozen=True)
@@ -134,23 +129,19 @@ def min_subsidiaries(level: RiskLevel | float) -> int:
     return n
 
 
-def _greedy_groups(masses: np.ndarray, alpha: float) -> list[tuple[int, int]]:
-    """Pack sorted atoms left to right into the fewest groups under the bound."""
+def _greedy_groups(tops: np.ndarray) -> list[tuple[int, int]]:
+    """Pack sorted atoms left to right into the fewest groups under the bound.
+
+    ``tops[b - 1]`` is the pricing index of a group ending at b: the group
+    ``[a, b)`` meets the bound exactly when ``a >= tops[b - 1]``. ``tops`` is
+    nondecreasing, so each group runs to the last such b.
+    """
     groups = []
     start = 0
-    acc = 0.0
-    for i, m in enumerate(masses):
-        m = float(m)
-        if i == start:
-            acc = m
-            continue
-        if _mass_ok(acc + m, alpha):
-            acc += m
-        else:
-            groups.append((start, i))
-            start = i
-            acc = m
-    groups.append((start, len(masses)))
+    while start < tops.size:
+        end = int(np.searchsorted(tops, start, side="right"))
+        groups.append((start, end))
+        start = end
     return groups
 
 
@@ -165,7 +156,7 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
     alpha = lvl.alpha
     if n is not None and n < 1:
         raise NInsufficient(f"tranche count must be >= 1, got {n}")
-    if model.kind == "uniform":
+    if model.law is None:
         n_min = min_subsidiaries(lvl)
         if n is None:
             n = n_min
@@ -176,14 +167,16 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
         inner = [quantile_strict(model, k / n) for k in range(1, n)]
         return Partition((0.0, *inner, model.max_loss))
 
-    vals, masses = distinct_atoms(model)
-    heaviest = float(np.max(masses))
-    if not _mass_ok(heaviest, alpha):
+    law = model.law
+    vals = law.values
+    tops = law.top(np.arange(1, vals.size + 1), alpha)
+    if np.any(tops > np.arange(vals.size)):
+        heaviest = float(np.max(law.weights)) / law.total
         raise AtomTooHeavy(
             f"an atom of mass {heaviest} can never sit strictly below "
             f"1 - alpha = {1.0 - alpha}"
         )
-    groups = _greedy_groups(masses, alpha)
+    groups = _greedy_groups(tops)
     if n is None:
         n = len(groups)
     if n < len(groups):
@@ -281,11 +274,7 @@ def validate_scheme(scheme: RandomizedScheme, level: RiskLevel | float) -> Schem
 
 def _smallest_positive_quantile(model: LossModel) -> float:
     """inf {x : cdf(x) > 0}, the bottom of the support."""
-    if model.kind == "atoms":
-        return float(model.values[0])
-    if model.kind == "empirical":
-        return float(model.samples[0])
-    return model.lower
+    return model.lower if model.law is None else float(model.law.values[0])
 
 
 def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | float) -> float:

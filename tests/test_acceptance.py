@@ -28,7 +28,6 @@ from varsplit import (
     empirical,
     es_of_tranche,
     expected_shortfall,
-    main,
     min_subsidiaries,
     randomized_assign,
     sample,
@@ -38,7 +37,7 @@ from varsplit import (
     validate_scheme,
     var,
 )
-from varsplit.cli import _substream
+from varsplit.cli import _substream, main
 
 U01 = uniform(0.0, 1.0)
 

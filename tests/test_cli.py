@@ -1,10 +1,15 @@
 """End-to-end tests for the command line: parsing, reports, serialization."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from varsplit import (
+from varsplit import OverheadSchedule
+from varsplit.cli import (
     CapitalReport,
     RESTRICTION_NOTE,
     TrancheRow,
@@ -33,7 +38,7 @@ class TestParseCli:
     def test_defaults(self):
         cmd = parse_cli(["var", *UNIFORM])
         assert (cmd.alpha, cmd.trials, cmd.seed, cmd.format) == (0.95, 100000, 42, "json")
-        assert cmd.overhead == ("none",)
+        assert cmd.overhead == OverheadSchedule.none()
         assert cmd.out is None
 
     def test_atoms_descriptor(self):
@@ -52,15 +57,15 @@ class TestParseCli:
         assert cmd.tranches == 21
 
     def test_overhead_forms(self):
-        assert parse_cli(["var", *UNIFORM, "--overhead", "none"]).overhead == ("none",)
-        assert parse_cli(["var", *UNIFORM, "--overhead", "linear:0.001"]).overhead == (
-            "linear",
-            0.001,
-        )
-        assert parse_cli(["var", *UNIFORM, "--overhead", "table:0,0.1,0.5"]).overhead == (
-            "table",
-            (0.0, 0.1, 0.5),
-        )
+        assert parse_cli(
+            ["var", *UNIFORM, "--overhead", "none"]
+        ).overhead == OverheadSchedule.none()
+        assert parse_cli(
+            ["var", *UNIFORM, "--overhead", "linear:0.001"]
+        ).overhead == OverheadSchedule.linear(0.001)
+        assert parse_cli(
+            ["var", *UNIFORM, "--overhead", "table:0,0.1,0.5"]
+        ).overhead == OverheadSchedule.table((0.0, 0.1, 0.5))
 
     @pytest.mark.parametrize(
         "argv",
@@ -78,6 +83,8 @@ class TestParseCli:
             ["randomize", *UNIFORM, "--subsidiaries", "0"],
             ["solve", *UNIFORM],
             ["frobnicate", *UNIFORM],
+            ["solve", *THREE_ATOMS, "--max-desks", "2", "--overhead", "linear:-1"],
+            ["solve", *THREE_ATOMS, "--max-desks", "2", "--overhead", "table:0.2,0.1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -281,3 +288,17 @@ class TestMain:
         assert main(["var", *UNIFORM, "--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["var_total"] == 0.95
+
+    def test_module_entry_point_is_quiet(self):
+        """``python -m varsplit.cli`` runs one copy of the module: no warning."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "varsplit.cli", "var", "--dist", "atoms:1:1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
