@@ -11,11 +11,9 @@ single copy of that module.
 """
 
 from .capital_solver import (
-    MAX_ORACLE_ATOMS,
     MAX_SOLVER_ATOMS,
     OverheadSchedule,
     SolveResult,
-    brute_force_oracle,
     solve_tranche_dp,
     solve_with_overhead,
 )

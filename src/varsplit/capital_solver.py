@@ -1,4 +1,4 @@
-"""Minimal capital over contiguous interval tranches, with a brute oracle.
+"""Minimal capital over contiguous interval tranches.
 
 The search space here is deliberately narrow: cut the sorted support into at
 most n contiguous groups and charge each group its strict quantile. Whether a
@@ -11,12 +11,11 @@ prefix masses S, its quantile is zero exactly when S[k] > S[j] - (1 - alpha),
 and otherwise equals the value of the first atom t with S[t] > S[j] - (1 -
 alpha). That atom is the same for every left edge k, so each right edge j
 carries a single precomputed cost and a single threshold index
-(:meth:`DiscreteLaw.top`, which also prices tranches and oracle groups).
+(:meth:`DiscreteLaw.top`, which also prices tranches).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,8 +28,6 @@ from .structuring import Partition
 
 #: Largest finite support the dynamic program accepts.
 MAX_SOLVER_ATOMS = 5000
-#: Largest support the exhaustive oracle will enumerate.
-MAX_ORACLE_ATOMS = 12
 
 
 @dataclass(frozen=True)
@@ -228,34 +225,6 @@ def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> Solv
     if n < 1:
         raise InvalidBounds(f"need at least one tranche, got {n}")
     return _solve(model, level, n, OverheadSchedule.none())
-
-
-def brute_force_oracle(model: LossModel, level: RiskLevel | float, n: int) -> float:
-    """Minimal capital over at most n contiguous groups, by full enumeration.
-
-    Exponential in the atom count, so capped hard; meant as an independent
-    check on the dynamic program, not for production use. Groups are priced
-    by :meth:`DiscreteLaw.unit_var`, the rule every tranche quantile uses.
-    """
-    alpha = as_level(level).alpha
-    law = model.law
-    if law is None:
-        raise InvalidBounds("the oracle enumerates explicit atom lists only")
-    m = law.values.size
-    if m > MAX_ORACLE_ATOMS:
-        raise TooManyAtoms(f"{m} atoms exceed the oracle bound {MAX_ORACLE_ATOMS}")
-    if n < 1:
-        raise InvalidBounds(f"need at least one group, got {n}")
-    best = np.inf
-    for r in range(1, min(n, m) + 1):
-        for inner in itertools.combinations(range(1, m), r - 1):
-            bounds = (0, *inner, m)
-            total = 0.0
-            for a, b in zip(bounds, bounds[1:]):
-                total += law.unit_var(a, b, alpha)
-            if total < best:
-                best = total
-    return float(best)
 
 
 def solve_with_overhead(

@@ -26,6 +26,7 @@ from .loss_model import (
     describe,
     empirical,
     load_losses_csv,
+    order_stat_rank,
     sample,
 )
 from .risk_measures import (
@@ -36,6 +37,7 @@ from .risk_measures import (
     var_of_tranche,
 )
 from .structuring import (
+    Partition,
     RandomizedScheme,
     build_partition,
     decompose,
@@ -256,21 +258,6 @@ def _assemble(
     )
 
 
-def _split_columns(losses: np.ndarray, ivs) -> list[np.ndarray]:
-    cols = []
-    for iv in ivs:
-        if iv.closed_hi:
-            mask = (losses >= iv.lo) & (losses <= iv.hi)
-        else:
-            mask = (losses >= iv.lo) & (losses < iv.hi)
-        cols.append(np.where(mask, losses, 0.0))
-    return cols
-
-
-def _empirical_var(column: np.ndarray, level: RiskLevel) -> float:
-    return var(empirical(column), level)
-
-
 def _whole_book_report(model: LossModel, level: RiskLevel, command: CliCommand):
     row = TrancheRow(
         mass=1.0,
@@ -283,31 +270,59 @@ def _whole_book_report(model: LossModel, level: RiskLevel, command: CliCommand):
     )
 
 
+def _partition_report(
+    model: LossModel,
+    level: RiskLevel,
+    partition: Partition,
+    emp: list[float | None],
+    trials: int,
+    seed: int,
+) -> CapitalReport:
+    dec = decompose(model, partition, level)
+    rows = [
+        TrancheRow(
+            mass=float(mass),
+            var_analytic=float(tranche_var),
+            var_empirical=emp_var,
+            es_analytic=es_of_tranche(model, iv, level),
+        )
+        for mass, tranche_var, emp_var, iv in zip(
+            dec.masses, dec.tranche_vars, emp, partition.intervals()
+        )
+    ]
+    return _assemble(
+        model, level, partition.n_tranches, partition.cuts, rows, trials, seed
+    )
+
+
 def _tranche_report(model: LossModel, level: RiskLevel, command: CliCommand):
     partition = build_partition(model, level, command.tranches)
-    dec = decompose(model, partition, level)
-    ivs = partition.intervals()
-    emp: list[float | None] = [None] * len(ivs)
+    emp: list[float | None] = [None] * partition.n_tranches
     trials = 0
     if command.action == "simulate":
         trials = command.trials
-        losses = sample(model, _substream(command.seed, 0), trials)
-        emp = [
-            _empirical_var(col, level) for col in _split_columns(losses, ivs)
-        ]
-    rows = [
-        TrancheRow(
-            mass=float(dec.masses[i]),
-            var_analytic=float(dec.tranche_vars[i]),
-            var_empirical=emp[i],
-            es_analytic=es_of_tranche(model, ivs[i], level),
-        )
-        for i in range(len(ivs))
+        book = empirical(sample(model, _substream(command.seed, 0), trials))
+        emp = [var_of_tranche(book, iv, level) for iv in partition.intervals()]
+    return _partition_report(model, level, partition, emp, trials, command.seed)
+
+
+def _unit_vars(
+    losses: np.ndarray, idx: np.ndarray, n_units: int, level: RiskLevel
+) -> list[float]:
+    """Empirical VaR of each unit's loss: its own hits, zero in other trials.
+
+    A unit's column sorts as its n - hits zeros followed by its sorted hits,
+    so its VaR is the entry of rank :func:`order_stat_rank` in that sequence,
+    read from one sort of all losses by (unit, loss).
+    """
+    ranked = losses[np.lexsort((losses, idx))]
+    hits = np.bincount(idx, minlength=n_units)
+    ends = np.cumsum(hits)
+    ranks = order_stat_rank(losses.size, level.alpha) - (losses.size - hits)
+    return [
+        float(ranked[end - hit + rank - 1]) if rank > 0 else 0.0
+        for end, hit, rank in zip(ends, hits, ranks)
     ]
-    return _assemble(
-        model, level, partition.n_tranches, partition.cuts, rows, trials,
-        command.seed,
-    )
 
 
 def _randomize_report(model: LossModel, level: RiskLevel, command: CliCommand):
@@ -316,11 +331,9 @@ def _randomize_report(model: LossModel, level: RiskLevel, command: CliCommand):
         if command.subsidiaries is not None
         else min_subsidiaries(level)
     )
-    scheme = RandomizedScheme(
-        subsidiaries=n_subs, seed=_substream(command.seed, 1)
-    )
+    scheme = RandomizedScheme(n_subs, seed=_substream(command.seed, 1))
     losses = sample(model, _substream(command.seed, 0), command.trials)
-    matrix = randomized_assign(scheme, losses)
+    emp = _unit_vars(losses, randomized_assign(scheme, losses), n_subs, level)
     unit_var = randomized_unit_var(model, n_subs, level)
     unit_es = randomized_unit_es(model, n_subs, level)
     activation = (1.0 - cdf(model, 0.0)) / n_subs
@@ -328,31 +341,13 @@ def _randomize_report(model: LossModel, level: RiskLevel, command: CliCommand):
         TrancheRow(
             mass=activation,
             var_analytic=unit_var,
-            var_empirical=_empirical_var(matrix[:, j], level),
+            var_empirical=emp_var,
             es_analytic=unit_es,
         )
-        for j in range(n_subs)
+        for emp_var in emp
     ]
     return _assemble(
         model, level, n_subs, (), rows, command.trials, command.seed
-    )
-
-
-def _solve_report(model: LossModel, level: RiskLevel, command: CliCommand):
-    res = solve_with_overhead(model, level, command.max_desks, command.overhead)
-    dec = decompose(model, res.partition, level)
-    ivs = res.partition.intervals()
-    rows = [
-        TrancheRow(
-            mass=float(dec.masses[i]),
-            var_analytic=float(dec.tranche_vars[i]),
-            var_empirical=None,
-            es_analytic=es_of_tranche(model, ivs[i], level),
-        )
-        for i in range(len(ivs))
-    ]
-    return _assemble(
-        model, level, res.best_n, res.partition.cuts, rows, 0, command.seed
     )
 
 
@@ -366,7 +361,9 @@ def run_simulation(command: CliCommand) -> CapitalReport:
         return _tranche_report(model, level, command)
     if command.action == "randomize":
         return _randomize_report(model, level, command)
-    return _solve_report(model, level, command)
+    res = solve_with_overhead(model, level, command.max_desks, command.overhead)
+    emp = [None] * res.partition.n_tranches
+    return _partition_report(model, level, res.partition, emp, 0, command.seed)
 
 
 def _to_json(report: CapitalReport) -> str:

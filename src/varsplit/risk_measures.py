@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidLevel
-from .loss_model import Interval, LossModel, quantile_strict
+from .loss_model import Interval, LossModel, intervals_from_cuts, quantile_strict
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,6 @@ def additivity_gap(model: LossModel, partition, level: RiskLevel | float) -> flo
     sequence). A negative gap is the arbitrage: the parts are charged less
     than the whole.
     """
-    from .loss_model import intervals_from_cuts
-
     lvl = as_level(level)
     cuts = getattr(partition, "cuts", partition)
     pieces = [var_of_tranche(model, iv, lvl) for iv in intervals_from_cuts(cuts)]

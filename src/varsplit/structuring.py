@@ -21,6 +21,7 @@ from .errors import (
 )
 from .loss_model import (  # MASS_GUARD stays importable from here
     MASS_GUARD,
+    PROB_TOL,
     Interval,
     LossModel,
     intervals_from_cuts,
@@ -218,7 +219,7 @@ def decompose(model: LossModel, partition: Partition, level: RiskLevel | float) 
     ivs = partition.intervals()
     masses = np.array([mass_in(model, iv) for iv in ivs])
     total = float(np.sum(masses))
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > PROB_TOL:
         raise PartitionMismatch(
             f"tranche masses sum to {total!r}, the partition misses support"
         )
@@ -246,17 +247,14 @@ def split_realization(decomposition: TrancheDecomposition, x: float) -> np.ndarr
 
 
 def randomized_assign(scheme: RandomizedScheme, losses) -> np.ndarray:
-    """Assign each realized loss to one uniformly drawn subsidiary.
+    """Draw the subsidiary that bears each realized loss.
 
-    Returns a (trials, N) matrix whose rows hold the full loss in exactly one
-    column, so summing across columns reconstructs the input bitwise.
+    Returns one unit index in ``0..N-1`` per loss. Unit j loses ``losses[i]``
+    in trial i when ``idx[i] == j`` and nothing otherwise, so the units'
+    losses sum back to the input bitwise.
     """
-    losses = np.asarray(losses, dtype=float)
     rng = np.random.default_rng(scheme.seed)
-    idx = rng.integers(0, scheme.subsidiaries, size=losses.size)
-    out = np.zeros((losses.size, scheme.subsidiaries))
-    out[np.arange(losses.size), idx] = losses
-    return out
+    return rng.integers(0, scheme.subsidiaries, size=np.size(losses))
 
 
 def validate_scheme(scheme: RandomizedScheme, level: RiskLevel | float) -> SchemeValidity:

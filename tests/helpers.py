@@ -6,11 +6,26 @@ stable.  The dyadic constructions are deliberate: weights and masses that
 are integer multiples of a power of two keep every product and partial sum
 exact in binary floating point, which is what lets the additivity and
 solver-agreement suites assert exact equality instead of tolerances.
+
+``brute_force_oracle`` is the exhaustive reference the solver suites check
+the dynamic program against.
 """
+
+import itertools
 
 import numpy as np
 
-from varsplit import LossModel, atoms
+from varsplit import (
+    InvalidBounds,
+    LossModel,
+    RiskLevel,
+    TooManyAtoms,
+    as_level,
+    atoms,
+)
+
+#: Largest support the exhaustive oracle will enumerate.
+MAX_ORACLE_ATOMS = 12
 
 
 def dyadic_weights(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -59,3 +74,31 @@ def near_uniform_500_atoms() -> LossModel:
     values = np.arange(1, 501) / 500.0
     masses = np.concatenate([np.full(12, 2.0 / 512.0), np.full(488, 1.0 / 512.0)])
     return atoms(values, masses)
+
+
+def brute_force_oracle(model: LossModel, level: RiskLevel | float, n: int) -> float:
+    """Minimal capital over at most n contiguous groups, by full enumeration.
+
+    Exponential in the atom count, so capped hard; meant as an independent
+    check on the dynamic program, not for production use. Groups are priced
+    by :meth:`DiscreteLaw.unit_var`, the rule every tranche quantile uses.
+    """
+    alpha = as_level(level).alpha
+    law = model.law
+    if law is None:
+        raise InvalidBounds("the oracle enumerates explicit atom lists only")
+    m = law.values.size
+    if m > MAX_ORACLE_ATOMS:
+        raise TooManyAtoms(f"{m} atoms exceed the oracle bound {MAX_ORACLE_ATOMS}")
+    if n < 1:
+        raise InvalidBounds(f"need at least one group, got {n}")
+    best = np.inf
+    for r in range(1, min(n, m) + 1):
+        for inner in itertools.combinations(range(1, m), r - 1):
+            bounds = (0, *inner, m)
+            total = 0.0
+            for a, b in zip(bounds, bounds[1:]):
+                total += law.unit_var(a, b, alpha)
+            if total < best:
+                best = total
+    return float(best)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    brute_force_oracle,
     dyadic_weights,
     grid_uniform_samples,
     integer_samples,
@@ -22,7 +23,6 @@ from varsplit import (
     OverheadSchedule,
     RandomizedScheme,
     atoms,
-    brute_force_oracle,
     build_partition,
     decompose,
     empirical,
@@ -91,9 +91,10 @@ def test_criterion_3_randomized_subsidiaries():
     book = atoms([100.0], [1.0])
     losses = sample(book, seed=_substream(42, 0), n=10**5)
     scheme = RandomizedScheme(subsidiaries=21, seed=_substream(42, 1))
-    matrix = randomized_assign(scheme, losses)
-    unit_vars = [var(empirical(matrix[:, j]), 0.95) for j in range(21)]
-    coverage_exact = bool(np.array_equal(matrix.sum(axis=1), losses))
+    idx = randomized_assign(scheme, losses)
+    columns = [np.where(idx == j, losses, 0.0) for j in range(21)]
+    unit_vars = [var(empirical(col), 0.95) for col in columns]
+    coverage_exact = bool(np.array_equal(np.sum(columns, axis=0), losses))
     rejected_20 = not validate_scheme(RandomizedScheme(20, seed=0), 0.95).ok
     elapsed = time.perf_counter() - start
     ok = (

@@ -12,9 +12,9 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import brute_force_oracle
 from varsplit import (
     atoms,
-    brute_force_oracle,
     decompose,
     empirical,
     solve_tranche_dp,

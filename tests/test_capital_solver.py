@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import near_uniform_500_atoms, random_dyadic_atoms
+from helpers import brute_force_oracle, near_uniform_500_atoms, random_dyadic_atoms
 from varsplit import (
     InvalidBounds,
     OverheadSchedule,
     TooManyAtoms,
     atoms,
-    brute_force_oracle,
     decompose,
     empirical,
     solve_tranche_dp,

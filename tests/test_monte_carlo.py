@@ -1,0 +1,133 @@
+"""Monte Carlo verification in the CLI: empirical unit VaRs and their memory.
+
+``simulate`` and ``randomize`` read every unit's empirical VaR without
+building the units' loss columns. These tests build each column explicitly,
+from the same seeded draws, and price it as a sample of its own.
+"""
+
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from varsplit import (
+    RandomizedScheme,
+    VarsplitError,
+    build_model,
+    empirical,
+    intervals_from_cuts,
+    load_losses_csv,
+    randomized_assign,
+    sample,
+    var,
+)
+from varsplit.cli import _substream, parse_cli, run_simulation
+
+DETERMINISTIC = settings(max_examples=120, derandomize=True, database=None, deadline=None)
+ALPHAS = ("0.5", "0.75", "0.9", "0.95", "0.99", "0.999")
+
+
+@st.composite
+def sources(draw):
+    """A --dist or CSV source: uniform, atoms (maybe one at 0), or repeated samples."""
+    kind = draw(st.sampled_from(("uniform", "atoms", "csv")))
+    if kind == "uniform":
+        lo = draw(st.integers(0, 5))
+        return ("dist", f"uniform:{lo},{lo + draw(st.integers(1, 5))}")
+    if kind == "atoms":
+        m = draw(st.integers(1, 40))
+        values = sorted(draw(st.sets(st.integers(0, 50), min_size=m, max_size=m)))
+        weights = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        total = sum(weights)
+        pairs = ",".join(f"{v}:{w / total!r}" for v, w in zip(values, weights))
+        return ("dist", f"atoms:{pairs}")
+    rows = draw(st.lists(st.integers(0, 39), min_size=1, max_size=200))
+    return ("csv", "".join(f"{v / 4}\n" for v in rows))
+
+
+def columns(command, report, losses):
+    """Each unit's loss in every trial, one full-length column per unit."""
+    if command.action == "simulate":
+        return [
+            np.where(
+                (losses >= iv.lo) & ((losses < iv.hi) | (iv.closed_hi & (losses == iv.hi))),
+                losses,
+                0.0,
+            )
+            for iv in intervals_from_cuts(report.cuts)
+        ]
+    scheme = RandomizedScheme(report.n_units, seed=_substream(command.seed, 1))
+    idx = randomized_assign(scheme, losses)
+    return [np.where(idx == j, losses, 0.0) for j in range(report.n_units)]
+
+
+@DETERMINISTIC
+@given(
+    action=st.sampled_from(("simulate", "randomize")),
+    source=sources(),
+    alpha=st.sampled_from(ALPHAS),
+    trials=st.sampled_from((1, 2, 3, 10, 20, 100, 200, 1000)),
+    units=st.one_of(st.none(), st.integers(1, 30)),
+    seed=st.integers(0, 2**16),
+)
+@example(action="simulate", source=("dist", "uniform:0,1"), alpha="0.99",
+         trials=100, units=None, seed=42)
+@example(action="simulate", source=("dist", "uniform:0,1"), alpha="0.99",
+         trials=1000, units=None, seed=42)
+@example(action="simulate", source=("dist", "atoms:" + ",".join(f"{v}:0.01" for v in range(100))),
+         alpha="0.95", trials=100, units=None, seed=3)
+@example(action="simulate", source=("csv", "1\n2\n3\n4\n5\n"), alpha="0.75",
+         trials=3, units=None, seed=1)
+@example(action="randomize", source=("dist", "atoms:0:0.5,5:0.3,10:0.2"),
+         alpha="0.99", trials=100, units=3, seed=42)
+@example(action="randomize", source=("csv", "0\n0\n1\n1\n1\n2\n"), alpha="0.95",
+         trials=20, units=2, seed=7)
+def test_empirical_vars_match_explicit_columns(action, source, alpha, trials, units, seed):
+    """``units`` is the subsidiary count, or the tranches added to the minimum."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [action, "--alpha", alpha, "--trials", str(trials), "--seed", str(seed)]
+        if source[0] == "dist":
+            argv += ["--dist", source[1]]
+        else:
+            path = Path(tmp) / "book.csv"
+            path.write_text("loss\n" + source[1])
+            argv += ["--input", str(path)]
+        if units is not None and action == "randomize":
+            argv += ["--subsidiaries", str(units)]
+        command = parse_cli(argv)
+        try:
+            report = run_simulation(command)
+        except VarsplitError:
+            return  # an atom too heavy to tranche
+        if units is not None and action == "simulate":
+            command = parse_cli([*argv, "--tranches", str(report.n_units + units)])
+            report = run_simulation(command)
+        if command.model_spec is not None:
+            model = build_model(command.model_spec)
+        else:
+            model = load_losses_csv(command.input_path)
+    losses = sample(model, _substream(seed, 0), trials)
+    cols = columns(command, report, losses)
+    assert len(cols) == len(report.tranches)
+    for col, row in zip(cols, report.tranches):
+        assert row.var_empirical == var(empirical(col), float(alpha))
+
+
+def test_monte_carlo_memory_is_bounded_by_trials():
+    """10^5 trials over about a thousand units never hold a trials x units array."""
+    for argv in (
+        ["simulate", "--dist", "uniform:0,1", "--alpha", "0.999", "--trials", "100000"],
+        ["randomize", "--dist", "atoms:100:1", "--alpha", "0.999", "--trials", "100000"],
+    ):
+        command = parse_cli(argv)
+        tracemalloc.start()
+        try:
+            report = run_simulation(command)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.tranches) == 1001
+        assert peak < 64 * 2**20, f"{argv[0]} peaked at {peak / 2**20:.1f} MB"

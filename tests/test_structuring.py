@@ -217,16 +217,17 @@ class TestRandomizedScheme:
 
     def test_single_unit_takes_everything(self):
         losses = np.array([1.0, 0.0, 3.5])
-        matrix = randomized_assign(RandomizedScheme(1, seed=9), losses)
-        assert matrix.shape == (3, 1)
-        np.testing.assert_array_equal(matrix[:, 0], losses)
+        idx = randomized_assign(RandomizedScheme(1, seed=9), losses)
+        assert idx.shape == (3,)
+        np.testing.assert_array_equal(np.where(idx == 0, losses, 0.0), losses)
 
     def test_rows_reconstruct_losses_bitwise(self):
         losses = sample(U01, seed=33, n=5000)
-        matrix = randomized_assign(RandomizedScheme(21, seed=7), losses)
-        assert matrix.shape == (5000, 21)
-        np.testing.assert_array_equal(matrix.sum(axis=1), losses)
-        assert np.all(np.count_nonzero(matrix, axis=1) <= 1)
+        idx = randomized_assign(RandomizedScheme(21, seed=7), losses)
+        assert idx.shape == (5000,) and np.issubdtype(idx.dtype, np.integer)
+        columns = np.where(idx[:, None] == np.arange(21), losses[:, None], 0.0)
+        np.testing.assert_array_equal(columns.sum(axis=1), losses)
+        assert np.all(np.count_nonzero(columns, axis=1) <= 1)
 
     def test_assignment_is_deterministic(self):
         losses = sample(U01, seed=33, n=1000)
@@ -240,8 +241,8 @@ class TestRandomizedScheme:
         """Each unit is hit about 1/N of the time, within three sigmas."""
         n_units, trials = 21, 10**5
         losses = np.ones(trials)
-        matrix = randomized_assign(RandomizedScheme(n_units, seed=3), losses)
-        freq = matrix.sum(axis=0) / trials
+        idx = randomized_assign(RandomizedScheme(n_units, seed=3), losses)
+        freq = np.bincount(idx, minlength=n_units) / trials
         p = 1.0 / n_units
         band = 3.0 * np.sqrt(p * (1.0 - p) / trials)
         assert np.all(np.abs(freq - p) <= band)
