@@ -49,7 +49,9 @@ ModelKind = Literal["atoms", "empirical", "uniform"]
 
 
 def _readonly(values) -> np.ndarray:
+    """A frozen float copy of ``values``, with any -0.0 turned into +0.0."""
     arr = np.array(values, dtype=float)
+    arr += 0.0
     arr.flags.writeable = False
     return arr
 
@@ -225,12 +227,25 @@ class LossModel:
             raise InvalidBounds("samples must be finite")
         if np.any(samples < 0.0):
             raise NegativeLoss(f"samples must be >= 0, got min {samples.min()}")
-        steps = np.diff(samples)
-        if np.any(steps < 0.0):
+        if np.any(samples[1:] < samples[:-1]):
             raise InvalidBounds("samples must be sorted nondecreasing")
-        starts = np.concatenate(([0], np.flatnonzero(steps > 0.0) + 1))
-        counts = np.diff(np.append(starts, samples.size)).astype(float)
-        law = DiscreteLaw.of(_readonly(samples[starts]), _readonly(counts), samples.size)
+        # cum[k] counts the samples below the k-th distinct value, so it is
+        # the start index of that value's run; weights are the run lengths.
+        fresh = samples[1:] != samples[:-1]
+        if fresh.all():
+            values, cum = samples.view(), np.arange(samples.size + 1.0)
+        else:
+            starts = np.flatnonzero(fresh)
+            del fresh
+            starts += 1
+            values = np.empty(starts.size + 1)
+            values[0] = samples[0]
+            np.take(samples, starts, out=values[1:])
+            cum = np.concatenate(([0.0], starts, [samples.size]))
+            del starts
+        law = DiscreteLaw(values, np.diff(cum), cum, float(samples.size))
+        for arr in (law.values, law.weights, law.cum):
+            arr.flags.writeable = False
         object.__setattr__(self, "law", law)
         object.__setattr__(self, "max_loss", float(samples[-1]))
 
@@ -251,14 +266,21 @@ def atoms(values: Sequence[float], probs: Sequence[float]) -> LossModel:
 
 
 def empirical(samples: Sequence[float]) -> LossModel:
-    """Equally weighted observations; stored sorted."""
-    arr = np.sort(np.asarray(samples, dtype=float))
-    return LossModel(kind="empirical", samples=_readonly(arr))
+    """Equally weighted observations; stored sorted, with -0.0 as +0.0."""
+    return _empirical_owned(np.array(samples, dtype=float))
+
+
+def _empirical_owned(arr: np.ndarray) -> LossModel:
+    """:func:`empirical` on a float array the caller hands over; sorts it in place."""
+    arr.sort()
+    arr += 0.0
+    arr.flags.writeable = False
+    return LossModel(kind="empirical", samples=arr)
 
 
 def uniform(lower: float, upper: float) -> LossModel:
     """Flat density on ``[lower, upper]`` with ``0 <= lower < upper``."""
-    return LossModel(kind="uniform", lower=float(lower), upper=float(upper))
+    return LossModel(kind="uniform", lower=float(lower) + 0.0, upper=float(upper) + 0.0)
 
 
 def build_model(spec: dict) -> LossModel:
@@ -363,20 +385,76 @@ def distinct_atoms(model: LossModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_losses_csv(path) -> LossModel:
-    """Read an empirical model from a single-column CSV.
+    """Read an empirical model from a single-column UTF-8 CSV.
 
     The file must carry the header ``loss`` followed by one nonnegative
     decimal per row. Errors name the offending row.
+
+    A file whose every row is a plain number is parsed in one pass by
+    ``float`` over its lines; anything else (blank rows, quotes, extra
+    columns, bad values) is read again row by row, and that loop alone
+    accepts the file or raises the error.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        losses = _parse_lines(path)
+        if losses is None:
+            losses = _parse_rows(path)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end].hex()
+        raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason} 0x{bad}") from None
+    return _empirical_owned(np.asarray(losses, dtype=float))
+
+
+def _read_header(path: Path, fh):
+    """Check the ``loss`` header and return the csv reader positioned after it."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(f"{path}: file is empty, expected header 'loss'")
+    if len(header) != 1 or header[0].strip().lstrip("\ufeff") != "loss":
+        raise CsvFormatError(f"{path}: header must be 'loss', got {header!r}")
+    return reader
+
+
+def _parse_lines(path: Path) -> np.ndarray | None:
+    """Every body line through ``float`` in one C-level pass.
+
+    Returns None unless the row loop would accept the file and read the same
+    values: a line that ``float`` parses holds no comma, quote or line break,
+    so it is one csv field whose stripped text gives the same float.
+    """
+    with path.open(encoding="utf-8", newline="") as fh:
+        _read_header(path, fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: file is empty, expected header 'loss'")
-        if len(header) != 1 or header[0].strip().lstrip("﻿") != "loss":
-            raise CsvFormatError(f"{path}: header must be 'loss', got {header!r}")
+            losses = np.fromiter(map(float, fh), float)
+        except ValueError:
+            return None
+    if losses.size and np.isfinite(losses).all() and not (losses < 0.0).any():
+        if _fields_fit(path):
+            return losses
+    return None
+
+
+def _fields_fit(path: Path) -> bool:
+    """Whether every line is shorter than the csv field size limit.
+
+    A run of bytes without a line break that reaches the limit covers a whole
+    aligned block of half the limit, so it suffices that each block holds one.
+    """
+    step = max(csv.field_size_limit() // 2, 1)
+    with path.open("rb") as fh:
+        return all(
+            len(block) < step or b"\n" in block or b"\r" in block
+            for block in iter(lambda: fh.read(step), b"")
+        )
+
+
+def _parse_rows(path: Path) -> list[float]:
+    """The row loop: one csv record at a time, naming the first bad row."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = _read_header(path, fh)
         losses = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -397,4 +475,4 @@ def load_losses_csv(path) -> LossModel:
             losses.append(value)
     if not losses:
         raise EmptySupport(f"{path}: no loss rows found")
-    return empirical(losses)
+    return losses

@@ -8,20 +8,28 @@ exact in binary floating point, which is what lets the additivity and
 solver-agreement suites assert exact equality instead of tolerances.
 
 ``brute_force_oracle`` is the exhaustive reference the solver suites check
-the dynamic program against.
+the dynamic program against, and ``csv_rows_oracle`` the row-by-row CSV
+reader the ingest suite checks ``load_losses_csv`` against.
 """
 
+import csv
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 
 from varsplit import (
+    CsvFormatError,
+    EmptySupport,
     InvalidBounds,
     LossModel,
+    NegativeLoss,
     RiskLevel,
     TooManyAtoms,
     as_level,
     atoms,
+    empirical,
 )
 
 #: Largest support the exhaustive oracle will enumerate.
@@ -102,3 +110,41 @@ def brute_force_oracle(model: LossModel, level: RiskLevel | float, n: int) -> fl
             if total < best:
                 best = total
     return float(best)
+
+
+def csv_rows_oracle(path) -> LossModel:
+    """A loss CSV read one csv record at a time, naming the first bad row.
+
+    Independent of the fast line parser in ``load_losses_csv``: every record
+    goes through ``csv.reader``, ``str.strip`` and ``float`` in Python.
+    """
+    path = Path(path)
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(f"{path}: file is empty, expected header 'loss'")
+        if len(header) != 1 or header[0].strip().lstrip("\ufeff") != "loss":
+            raise CsvFormatError(f"{path}: header must be 'loss', got {header!r}")
+        losses = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 1:
+                raise CsvFormatError(
+                    f"{path}: row {lineno}: expected one column, got {len(row)}"
+                )
+            text = row[0].strip()
+            try:
+                value = float(text)
+            except ValueError:
+                raise CsvFormatError(f"{path}: row {lineno}: not a number: {text!r}")
+            if not math.isfinite(value):
+                raise CsvFormatError(f"{path}: row {lineno}: non-finite loss {text!r}")
+            if value < 0.0:
+                raise NegativeLoss(f"{path}: row {lineno}: negative loss {value}")
+            losses.append(value)
+    if not losses:
+        raise EmptySupport(f"{path}: no loss rows found")
+    return empirical(losses)

@@ -9,7 +9,7 @@ prices the same law must still agree, and agree with ``fractions.Fraction``.
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import brute_force_oracle
@@ -21,7 +21,6 @@ from varsplit import (
     var,
 )
 
-DETERMINISTIC = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 ALPHAS = (0.6, 0.7, 0.8, 0.9, 0.95)
 
 
@@ -74,7 +73,6 @@ def test_hundred_samples_at_29_percent():
     assert var(empirical(range(1, 101)), 0.29) == 30.0
 
 
-@DETERMINISTIC
 @given(
     law=st.one_of(
         integer_laws(max_atoms=200, equal_weights=True), integer_laws(max_atoms=30)
@@ -90,7 +88,6 @@ def test_atoms_and_empirical_match_exact_quantile(law, permille):
         assert var(model, permille / 1000) == exact
 
 
-@DETERMINISTIC
 @given(
     law=integer_laws(max_atoms=10),
     alpha=st.sampled_from(ALPHAS),

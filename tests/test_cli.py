@@ -272,6 +272,17 @@ class TestMain:
         assert err.startswith("error:")
         assert "file.csv" in err
 
+    def test_negative_zero_is_reported_as_zero(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("loss\n-0.0\n")
+        for argv in (
+            ["var", "--input", str(path)],
+            ["es", "--dist", "atoms:-0.0:0.5,2:0.5", "--alpha", "0.4"],
+            ["var", "--dist", "uniform:-0.0,1"],
+        ):
+            assert main(argv) == 0
+            assert "-0.0" not in capsys.readouterr().out
+
     def test_module_errors_exit_1(self, capsys):
         assert main(["var", "--dist", "atoms:1:0.9"]) == 1
         assert "sum to 1" in capsys.readouterr().err

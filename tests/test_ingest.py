@@ -1,0 +1,125 @@
+"""CSV ingest: the one-pass line parser agrees with the row-by-row reader.
+
+``load_losses_csv`` parses a clean book with one ``float`` call per line and
+reads anything else again record by record. These tests hold it to
+``helpers.csv_rows_oracle`` (same samples bit for bit, or the same error
+type and message), and bound its memory by the row count.
+"""
+
+import csv
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import csv_rows_oracle
+from varsplit import CsvFormatError, load_losses_csv, loss_model
+from varsplit.cli import main
+
+NUMBERS = st.one_of(
+    st.integers(0, 10**6).map(lambda k: f"{k // 100}.{k % 100:02d}"),
+    st.floats(min_value=0.0, max_value=1e300).map(repr),
+)
+ODD_ROWS = (
+    "", " ", "\t ", '"1.5"', '"1\n2"', '"2\r\n"', "1_000", "+1.5", " 2.5 ", "1e400",
+    "inf", "nan", "-1", "-0.0", "0", "1,2", "3,", ",", "abc", "１.５", "\x0c4", "1\x1c",
+)
+ENDINGS = ("\n", "\r\n", "\r")
+HEADERS = ("loss", "\ufeffloss", " loss ", '"loss"', "value", "loss,x", "")
+
+
+def outcome(load, path):
+    """The samples' bytes, or the type and message of the error raised."""
+    try:
+        return load(path).samples.tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def write_book(path, header, rows, trailing, lead=0):
+    """``lead`` plain rows, then ``rows`` as (text, line ending) pairs."""
+    parts = [header, "\n", "1.25\n" * lead]
+    for text, end in rows:
+        parts += [text, end]
+    if rows and not trailing:
+        parts.pop()
+    path.write_bytes("".join(parts).encode("utf-8"))
+
+
+@st.composite
+def books(draw):
+    """Number rows with at most two odd rows dropped in, so that each odd
+    row is also met alone among numbers."""
+    rows = draw(st.lists(st.tuples(NUMBERS, st.sampled_from(ENDINGS)), max_size=30))
+    for _ in range(draw(st.integers(0, 2))):
+        odd = (draw(st.sampled_from(ODD_ROWS)), draw(st.sampled_from(ENDINGS)))
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    return rows
+
+
+@settings(max_examples=300)
+@given(
+    header=st.sampled_from(HEADERS),
+    rows=books(),
+    trailing=st.booleans(),
+    lead=st.sampled_from((0,) * 29 + (100_000,)),
+)
+@example(header="loss", rows=[("abc", "\n")], trailing=True, lead=100_000)
+@example(header="loss", rows=[("", "\n"), ("-3", "\r\n")], trailing=False, lead=100_000)
+@example(header="loss", rows=[("1e400", "\r")], trailing=True, lead=100_000)
+@example(header="\ufeffloss", rows=[("-0.0", "\r\n"), ("2", "\r\n")], trailing=False, lead=0)
+@example(header="loss", rows=[("1", "\n"), (" ", "\n"), ("2", "\n")], trailing=True, lead=0)
+@example(header="loss", rows=[('"1\n2"', "\n")], trailing=True, lead=0)
+@example(header="loss", rows=[("0" * (csv.field_size_limit() + 1), "\n")], trailing=True, lead=0)
+@example(header="loss", rows=[], trailing=True, lead=0)
+def test_load_matches_row_oracle(header, rows, trailing, lead):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "book.csv"
+        write_book(path, header, rows, trailing, lead)
+        assert outcome(load_losses_csv, path) == outcome(csv_rows_oracle, path)
+
+
+def test_plain_book_skips_the_row_loop(tmp_path, monkeypatch):
+    """A book of plain numbers is read by the line parser alone."""
+
+    def fail(path):
+        raise AssertionError("row loop used")
+
+    path = tmp_path / "book.csv"
+    write_book(path, "loss", [("3.5", "\r\n"), ("1_000", "\r\n"), ("-0.0", "\r\n")], True)
+    monkeypatch.setattr(loss_model, "_parse_rows", fail)
+    assert list(load_losses_csv(path).samples) == [0.0, 3.5, 1000.0]
+
+
+@pytest.mark.parametrize("lead", [0, 20_000])
+def test_non_utf8_is_a_one_line_format_error(tmp_path, capsys, lead):
+    """A bad byte in the first decoded chunk, or one deep in the body."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"loss\n" + b"1.25\n" * lead + b"1.5\n\xff2\n")
+    with pytest.raises(CsvFormatError, match="not UTF-8 text"):
+        load_losses_csv(path)
+    assert main(["var", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 text: invalid start byte 0xff\n"
+
+
+def test_ingest_memory_is_linear_in_rows(tmp_path):
+    """A 200 000-row book of 2-decimal losses: under 32 bytes per row at peak."""
+    rng = np.random.default_rng(11)
+    n = 200_000
+    cents = rng.choice(rng.integers(0, 400_000, size=4000), size=n)
+    path = tmp_path / "book.csv"
+    path.write_text("loss\n" + "".join(f"{c // 100}.{c % 100:02d}\n" for c in cents))
+    tracemalloc.start()
+    try:
+        model = load_losses_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.samples.size == n
+    assert peak < 32 * n, f"peaked at {peak / n:.1f} bytes per row"

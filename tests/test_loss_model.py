@@ -1,5 +1,7 @@
 """Tests for loss model construction, CDF/quantile machinery, and CSV input."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from varsplit import (
     InvalidBounds,
     InvalidLevel,
     CsvFormatError,
+    LossModel,
     NegativeLoss,
     ProbsNotNormalized,
     atoms,
@@ -88,6 +91,66 @@ class TestConstruction:
         assert describe(uniform(0.0, 1.0)) == "uniform:0.0,1.0"
         assert describe(atoms([0.0, 10.0], [0.5, 0.5])) == "atoms:0.0:0.5,10.0:0.5"
         assert describe(empirical([1.0, 2.0])) == "empirical:n=2"
+
+
+class TestNegativeZero:
+    """A -0.0 loss is stored, priced and described as +0.0."""
+
+    def test_constructors_store_positive_zero(self):
+        for model in (
+            atoms([-0.0, 2.0], [0.5, 0.5]),
+            empirical([1.0, -0.0, 0.0]),
+            uniform(-0.0, 1.0),
+        ):
+            stored = [model.lower] if model.law is None else model.law.values
+            assert not np.signbit(stored).any()
+            assert "-0.0" not in describe(model)
+
+    def test_quantiles_are_positive_zero(self):
+        for model in (atoms([-0.0, 2.0], [0.5, 0.5]), empirical([-0.0, -0.0, 2.0])):
+            assert not np.signbit(quantile_strict(model, 0.25))
+
+
+class TestEmpiricalLaw:
+    """The law of a sample: its arrays and the memory that builds them."""
+
+    @staticmethod
+    def reference(sorted_x):
+        values, counts = np.unique(sorted_x, return_counts=True)
+        cum = np.concatenate(([0.0], np.cumsum(counts.astype(float))))
+        return values, counts.astype(float), cum
+
+    @staticmethod
+    def peak(build):
+        tracemalloc.start()
+        try:
+            model = build()
+            return model, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_law_arrays_match_counts(self, repeats):
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 50, 1000) / 4 if repeats else rng.random(1000)
+        law = empirical(x).law
+        for got, want in zip((law.values, law.weights, law.cum), self.reference(np.sort(x))):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    def test_distinct_build_memory(self):
+        """10^6 distinct floats: no copy of the sample beyond the sort."""
+        x = np.random.default_rng(4).random(10**6)
+        sorted_x = np.sort(x)
+        model, peak = self.peak(lambda: LossModel(kind="empirical", samples=sorted_x))
+        assert peak <= 32 * 2**20, f"LossModel peaked at {peak / 2**20:.1f} MB"
+        assert np.shares_memory(model.law.values, sorted_x)
+        for got, want in zip(
+            (model.law.values, model.law.weights, model.law.cum), self.reference(sorted_x)
+        ):
+            assert got.tobytes() == want.tobytes()
+        model, peak = self.peak(lambda: empirical(x))
+        assert peak <= 48 * 2**20, f"empirical peaked at {peak / 2**20:.1f} MB"
 
 
 class TestCdf:

@@ -26,7 +26,6 @@ from varsplit import (
 )
 from varsplit.cli import _substream, parse_cli, run_simulation
 
-DETERMINISTIC = settings(max_examples=120, derandomize=True, database=None, deadline=None)
 ALPHAS = ("0.5", "0.75", "0.9", "0.95", "0.99", "0.999")
 
 
@@ -64,7 +63,7 @@ def columns(command, report, losses):
     return [np.where(idx == j, losses, 0.0) for j in range(report.n_units)]
 
 
-@DETERMINISTIC
+@settings(max_examples=120)
 @given(
     action=st.sampled_from(("simulate", "randomize")),
     source=sources(),
