@@ -12,11 +12,19 @@ and otherwise equals the value of the first atom t with S[t] > S[j] - (1 -
 alpha). That atom is the same for every left edge k, so each right edge j
 carries a single precomputed cost and a single threshold index
 (:meth:`DiscreteLaw.top`, which also prices tranches).
+
+Row r of its suffix table holds, at atom i, the cheapest cover of atoms
+i..mp by at most r groups, min(exactly r groups, row r - 1), with the empty
+suffix at 0. Each row is a few numpy calls on the one before, and the pass
+stops at the first row whose capital is 0 or that equals the row before.
+For R rows over m atoms, time is O(R x m) in O(R) numpy calls. Memory is
+O(m x sqrt(rmax)), where rmax = min(n, m) bounds R for a budget of n groups:
+one row in every ceil(sqrt(rmax)) is kept as a checkpoint for the cut walk.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +105,7 @@ def _tranche_tables(model: LossModel, alpha: float):
     """
     law = model.law
     if law is None:
-        raise TooManyAtoms(
-            "continuous support has no finite atom list; discretize first"
-        )
+        raise TooManyAtoms("continuous support has no finite atom list; discretize first")
     if law.values.size > MAX_SOLVER_ATOMS:
         raise TooManyAtoms(
             f"{law.values.size} distinct support points exceed the solver bound "
@@ -110,68 +116,64 @@ def _tranche_tables(model: LossModel, alpha: float):
     return law.values[s:], np.maximum(tops - s, 0)
 
 
-def _dp_rows(tstar: np.ndarray, varpt: np.ndarray, rmax: int):
-    """Suffix tables row by row: rows[r][i] covers atoms i..mp with r groups.
+def _next_row(prev: np.ndarray, varpt: np.ndarray, jz: np.ndarray) -> np.ndarray:
+    """Row r of the suffix table (index 1..mp + 1) from row r - 1.
 
-    Stops after the first row whose full-support capital rows[r][1] is 0.
-
-    Both branches of the recurrence are amortized O(1) per state. Free groups
-    ending before index tstar reach the previous row through a sliding-window
-    minimum whose ends only move left as i decreases; costly groups share a
-    per-row array B[j] = varpt[j] + prev[j+1] folded right to left.
+    A row never rises with i, since dropping a group's first atom never raises
+    its price. So free groups i..j (j < jz[i]) reach row r - 1 at prev[jz[i]],
+    and costly ones (j >= jz[i]) at the right-to-left minimum of
+    varpt[j] + prev[j + 1] read at jz[i]. As jz[i] >= i, prev[jz[i]] <= prev[i]
+    also covers "fewer than r groups".
     """
-    mp = varpt.size
-    jz = np.searchsorted(tstar, np.arange(1, mp + 1), side="left") + 1
-    prev = np.full(mp + 2, np.inf)
-    prev[mp + 1] = 0.0
-    rows = [prev]
+    costly = np.full(prev.size, np.inf)
+    np.add(varpt, prev[2:], out=costly[1:-1])
+    costly = np.minimum.accumulate(costly[::-1])[::-1]
+    cur = prev.copy()
+    np.minimum(prev[jz], costly[jz], out=cur[1:-1])
+    return cur
+
+
+def _dp_rows(jz: np.ndarray, varpt: np.ndarray, rmax: int):
+    """Capitals caps[r] with at most r groups, plus every step-th row.
+
+    Stops after the first row whose capital is 0, or before the first row
+    equal to the one before it: the recurrence is a fixed map, so every later
+    row equals it too. Keeping one row in every step = ceil(sqrt(rmax)) bounds
+    memory by O(m x sqrt(rmax)); time is O(rows x m) in numpy calls.
+    """
+    step = math.isqrt(rmax - 1) + 1
+    row = np.append(np.full(varpt.size + 1, np.inf), 0.0)
+    caps, marks = [np.inf], [row]
     for r in range(1, rmax + 1):
-        cur = np.full(mp + 2, np.inf)
-        bcost = np.full(mp + 2, np.inf)
-        bcost[1 : mp + 1] = varpt + prev[2:]
-        window: deque[int] = deque()
-        ptr = mp + 1
-        rmin = np.inf
-        for i in range(mp, 0, -1):
-            k = i + 1
-            v = prev[k]
-            while window and prev[window[0]] >= v:
-                window.popleft()
-            window.appendleft(k)
-            hi = min(int(jz[i - 1]), mp + 1)
-            while window and window[-1] > hi:
-                window.pop()
-            zmin = prev[window[-1]] if window else np.inf
-            lo = int(jz[i - 1])
-            while ptr > lo:
-                ptr -= 1
-                if bcost[ptr] < rmin:
-                    rmin = bcost[ptr]
-            cur[i] = zmin if zmin <= rmin else rmin
-        rows.append(cur)
-        prev = cur
-        if cur[1] == 0.0:
+        cur = _next_row(row, varpt, jz)
+        if np.array_equal(cur, row):
             break
-    return rows
+        row = cur
+        caps.append(float(row[1]))
+        if r % step == 0:
+            marks.append(row)
+        if row[1] == 0.0:
+            break
+    return caps, marks, step
 
 
-def _walk_cuts(rows, tstar, varpt, pvals, gstar: int, max_loss: float) -> Partition:
+def _walk_cuts(marks, step, jz, tstar, varpt, pvals, gstar, target, max_loss):
     """Recover the lexicographically smallest cut vector achieving the optimum.
 
-    Candidate values are recomputed with the same expressions the table used,
-    so the equality test against the stored optimum is exact.
+    Rows gstar - 1 down to 0 are rebuilt one block of at most step rows at a
+    time from their checkpoints: at most one more pass. Candidates reuse the
+    table's own expressions, so the equality test is exact. No optimal cover
+    has fewer than gstar groups, so each match spends exactly one.
     """
-    mp = varpt.size
-    target = rows[gstar][1]
-    cuts = [0.0]
-    i = 1
+    cuts, i, block = [0.0], 1, []
     for r in range(gstar, 0, -1):
-        nxt = rows[r - 1]
-        for j in range(i, mp + 1):
-            if tstar[j - 1] <= i - 1:
-                cand = nxt[j + 1]
-            else:
-                cand = varpt[j - 1] + nxt[j + 1]
+        if not block:
+            block = [marks[(r - 1) // step]]
+            for _ in range((r - 1) % step):
+                block.append(_next_row(block[-1], varpt, jz))
+        nxt = block.pop()
+        for j in range(i, varpt.size + 1):
+            cand = nxt[j + 1] if tstar[j - 1] < i else varpt[j - 1] + nxt[j + 1]
             if cand == target:
                 if r > 1:
                     cuts.append((float(pvals[j - 1]) + float(pvals[j])) / 2.0)
@@ -189,9 +191,9 @@ def _solve(
 ) -> SolveResult:
     """Minimize capital(N) + overhead(N) over N = 1..n_max with one DP pass.
 
-    capital(N) is the prefix minimum of rows[r][1] over r <= N, reached first
-    at g(N) groups. Past the last row capital stays put and a nondecreasing
-    schedule costs no less, so no larger N can win; ties go to smaller N.
+    capital(N) is caps[N], reached first at g(N) groups. Past the last row
+    capital stays put and a nondecreasing schedule costs no less, so no
+    larger N can win; ties go to smaller N.
     """
     lvl = as_level(level)
     pvals, tstar = _tranche_tables(model, lvl.alpha)
@@ -199,19 +201,17 @@ def _solve(
     if mp == 0:
         raise InvalidBounds("all loss mass sits at zero; there is nothing to split")
     varpt = pvals[np.maximum(tstar, 1) - 1]
-    rows = _dp_rows(tstar, varpt, min(n_max, mp))
-    capital, groups = np.inf, 0
-    best = None
-    for n_units in range(1, len(rows)):
-        if rows[n_units][1] < capital:
-            capital, groups = float(rows[n_units][1]), n_units
-        obj = capital + sched.cost(n_units)
-        if best is None or obj < best[0]:
-            best = (obj, capital, groups)
-    obj, capital, groups = best
-    partition = _walk_cuts(rows, tstar, varpt, pvals, groups, model.max_loss)
+    jz = np.searchsorted(tstar, np.arange(1, mp + 1), side="left") + 1
+    caps, marks, step = _dp_rows(jz, varpt, min(n_max, mp))
+    objs = [caps[n] + sched.cost(n) for n in range(1, len(caps))]
+    best = int(np.argmin(objs))  # the first minimum: ties go to smaller N
+    capital = caps[best + 1]
+    groups = caps.index(capital)
+    partition = _walk_cuts(
+        marks, step, jz, tstar, varpt, pvals, groups, capital, model.max_loss
+    )
     return SolveResult(
-        best_n=groups, partition=partition, capital=capital, objective=float(obj)
+        best_n=groups, partition=partition, capital=capital, objective=objs[best]
     )
 
 

@@ -203,6 +203,15 @@ def parse_cli(argv=None) -> CliCommand:
         parser.error(f"--seed: must be >= 0, got {ns.seed}")
     if ns.action == "solve" and ns.max_desks is None:
         parser.error("solve requires --max-desks")
+    if (
+        ns.action == "solve"
+        and overhead.variant == "table"
+        and len(overhead.costs) < ns.max_desks
+    ):
+        parser.error(
+            f"--overhead: table covers 1..{len(overhead.costs)} units, "
+            f"--max-desks asks for {ns.max_desks}"
+        )
     return CliCommand(
         action=ns.action,
         model_spec=model_spec,

@@ -406,16 +406,32 @@ def load_losses_csv(path) -> LossModel:
     return _empirical_owned(np.asarray(losses, dtype=float))
 
 
-def _read_header(path: Path, fh):
-    """Check the ``loss`` header and return the csv reader positioned after it."""
+def _records(path: Path, fh):
+    """Numbered csv records; a csv error (a field over the size limit, say)
+    is a :class:`CsvFormatError` that names the row it stopped in."""
     reader = csv.reader(fh)
+    lineno = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: row {lineno}: {exc}") from None
+        yield lineno, row
+        lineno += 1
+
+
+def _read_header(path: Path, fh):
+    """Check the ``loss`` header and return the numbered records after it."""
+    records = _records(path, fh)
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise CsvFormatError(f"{path}: file is empty, expected header 'loss'")
     if len(header) != 1 or header[0].strip().lstrip("\ufeff") != "loss":
         raise CsvFormatError(f"{path}: header must be 'loss', got {header!r}")
-    return reader
+    return records
 
 
 def _parse_lines(path: Path) -> np.ndarray | None:
@@ -454,9 +470,8 @@ def _fields_fit(path: Path) -> bool:
 def _parse_rows(path: Path) -> list[float]:
     """The row loop: one csv record at a time, naming the first bad row."""
     with path.open(encoding="utf-8", newline="") as fh:
-        reader = _read_header(path, fh)
         losses = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _read_header(path, fh):
             if not row:
                 continue
             if len(row) != 1:

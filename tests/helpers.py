@@ -8,13 +8,15 @@ exact in binary floating point, which is what lets the additivity and
 solver-agreement suites assert exact equality instead of tolerances.
 
 ``brute_force_oracle`` is the exhaustive reference the solver suites check
-the dynamic program against, and ``csv_rows_oracle`` the row-by-row CSV
-reader the ingest suite checks ``load_losses_csv`` against.
+the dynamic program against, ``reference_solve`` the exact-r suffix table the
+vectorized solver must match bit for bit, and ``csv_rows_oracle`` the
+row-by-row CSV reader the ingest suite checks ``load_losses_csv`` against.
 """
 
 import csv
 import itertools
 import math
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +27,16 @@ from varsplit import (
     InvalidBounds,
     LossModel,
     NegativeLoss,
+    OverheadSchedule,
+    Partition,
     RiskLevel,
+    SolveResult,
     TooManyAtoms,
     as_level,
     atoms,
     empirical,
 )
+from varsplit.capital_solver import _tranche_tables
 
 #: Largest support the exhaustive oracle will enumerate.
 MAX_ORACLE_ATOMS = 12
@@ -116,19 +122,31 @@ def csv_rows_oracle(path) -> LossModel:
     """A loss CSV read one csv record at a time, naming the first bad row.
 
     Independent of the fast line parser in ``load_losses_csv``: every record
-    goes through ``csv.reader``, ``str.strip`` and ``float`` in Python.
+    goes through ``csv.reader``, ``str.strip`` and ``float`` in Python. A
+    ``csv.Error`` (such as a field over ``csv.field_size_limit()``) becomes a
+    ``CsvFormatError`` naming the record it was raised in.
     """
     path = Path(path)
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
+        lineno = 1
         try:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{path}: file is empty, expected header 'loss'")
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: row {lineno}: {exc}") from None
         if len(header) != 1 or header[0].strip().lstrip("\ufeff") != "loss":
             raise CsvFormatError(f"{path}: header must be 'loss', got {header!r}")
         losses = []
-        for lineno, row in enumerate(reader, start=2):
+        while True:
+            lineno += 1
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise CsvFormatError(f"{path}: row {lineno}: {exc}") from None
             if not row:
                 continue
             if len(row) != 1:
@@ -148,3 +166,109 @@ def csv_rows_oracle(path) -> LossModel:
     if not losses:
         raise EmptySupport(f"{path}: no loss rows found")
     return empirical(losses)
+
+
+# A suffix table whose row r covers each suffix with exactly r groups, built
+# by a sliding-window loop over every (row, atom) state, with every row kept
+# for the cut walk. ``reference_solve`` runs it as the reference that the
+# vectorized at-most-r solver must match bit for bit.
+
+
+def _dp_rows(tstar: np.ndarray, varpt: np.ndarray, rmax: int):
+    """Suffix tables row by row: rows[r][i] covers atoms i..mp with r groups.
+
+    Stops after the first row whose full-support capital rows[r][1] is 0.
+
+    Both branches of the recurrence are amortized O(1) per state. Free groups
+    ending before index tstar reach the previous row through a sliding-window
+    minimum whose ends only move left as i decreases; costly groups share a
+    per-row array B[j] = varpt[j] + prev[j+1] folded right to left.
+    """
+    mp = varpt.size
+    jz = np.searchsorted(tstar, np.arange(1, mp + 1), side="left") + 1
+    prev = np.full(mp + 2, np.inf)
+    prev[mp + 1] = 0.0
+    rows = [prev]
+    for r in range(1, rmax + 1):
+        cur = np.full(mp + 2, np.inf)
+        bcost = np.full(mp + 2, np.inf)
+        bcost[1 : mp + 1] = varpt + prev[2:]
+        window: deque[int] = deque()
+        ptr = mp + 1
+        rmin = np.inf
+        for i in range(mp, 0, -1):
+            k = i + 1
+            v = prev[k]
+            while window and prev[window[0]] >= v:
+                window.popleft()
+            window.appendleft(k)
+            hi = min(int(jz[i - 1]), mp + 1)
+            while window and window[-1] > hi:
+                window.pop()
+            zmin = prev[window[-1]] if window else np.inf
+            lo = int(jz[i - 1])
+            while ptr > lo:
+                ptr -= 1
+                if bcost[ptr] < rmin:
+                    rmin = bcost[ptr]
+            cur[i] = zmin if zmin <= rmin else rmin
+        rows.append(cur)
+        prev = cur
+        if cur[1] == 0.0:
+            break
+    return rows
+
+
+def _walk_cuts(rows, tstar, varpt, pvals, gstar: int, max_loss: float) -> Partition:
+    """Recover the lexicographically smallest cut vector achieving the optimum.
+
+    Candidate values are recomputed with the same expressions the table used,
+    so the equality test against the stored optimum is exact.
+    """
+    mp = varpt.size
+    target = rows[gstar][1]
+    cuts = [0.0]
+    i = 1
+    for r in range(gstar, 0, -1):
+        nxt = rows[r - 1]
+        for j in range(i, mp + 1):
+            if tstar[j - 1] <= i - 1:
+                cand = nxt[j + 1]
+            else:
+                cand = varpt[j - 1] + nxt[j + 1]
+            if cand == target:
+                if r > 1:
+                    cuts.append((float(pvals[j - 1]) + float(pvals[j])) / 2.0)
+                target = nxt[j + 1]
+                i = j + 1
+                break
+        else:
+            raise AssertionError("suffix table reconstruction lost the optimum")
+    cuts.append(float(max_loss))
+    return Partition(tuple(cuts))
+
+
+def reference_solve(
+    model: LossModel, level: RiskLevel | float, n_max: int, sched: OverheadSchedule
+) -> SolveResult:
+    """``solve_with_overhead`` through the exact-r reference DP above."""
+    lvl = as_level(level)
+    pvals, tstar = _tranche_tables(model, lvl.alpha)
+    mp = pvals.size
+    if mp == 0:
+        raise InvalidBounds("all loss mass sits at zero; there is nothing to split")
+    varpt = pvals[np.maximum(tstar, 1) - 1]
+    rows = _dp_rows(tstar, varpt, min(n_max, mp))
+    capital, groups = np.inf, 0
+    best = None
+    for n_units in range(1, len(rows)):
+        if rows[n_units][1] < capital:
+            capital, groups = float(rows[n_units][1]), n_units
+        obj = capital + sched.cost(n_units)
+        if best is None or obj < best[0]:
+            best = (obj, capital, groups)
+    obj, capital, groups = best
+    partition = _walk_cuts(rows, tstar, varpt, pvals, groups, model.max_loss)
+    return SolveResult(
+        best_n=groups, partition=partition, capital=capital, objective=float(obj)
+    )

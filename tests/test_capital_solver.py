@@ -1,9 +1,18 @@
 """Tests for the tranche DP solver, the enumeration oracle, and overhead search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_oracle, near_uniform_500_atoms, random_dyadic_atoms
+from helpers import (
+    brute_force_oracle,
+    near_uniform_500_atoms,
+    random_dyadic_atoms,
+    reference_solve,
+)
 from varsplit import (
     InvalidBounds,
     OverheadSchedule,
@@ -17,6 +26,7 @@ from varsplit import (
     var,
     var_of_tranche,
 )
+from varsplit import capital_solver
 
 A3 = atoms([0.0, 5.0, 10.0], [0.5, 0.3, 0.2])
 
@@ -236,3 +246,96 @@ class TestSolveWithOverhead:
             rate = float(rng.uniform(0.0, 1.0))
             res = solve_with_overhead(model, 0.95, 4, OverheadSchedule.linear(rate))
             assert res.objective >= res.capital >= 0.0
+
+
+@st.composite
+def solver_cases(draw):
+    """A finite law with integer weights over their (non-dyadic) sum, as atoms
+    or as samples; a level; a unit budget 1..m + 1; and an overhead schedule.
+    A heavy top atom outweighs 1 - alpha, so capital never reaches 0."""
+    m = draw(st.integers(1, 12))
+    values = sorted(draw(st.sets(st.integers(0, 60), min_size=m, max_size=m)))
+    weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        weights[-1] *= draw(st.integers(10, 60))
+    if draw(st.booleans()):
+        model = atoms(values, np.array(weights) / sum(weights))
+    else:
+        model = empirical(np.repeat(np.array(values, dtype=float), weights))
+    alpha = draw(st.sampled_from([0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97]))
+    n_max = draw(st.integers(1, m + 1))
+    variant = draw(st.sampled_from(["none", "linear", "table"]))
+    if variant == "none":
+        sched = OverheadSchedule.none()
+    elif variant == "linear":
+        sched = OverheadSchedule.linear(draw(st.sampled_from([0.0, 0.3, 1.0, 2.5, 40.0])))
+    else:
+        costs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0]),
+                              min_size=n_max, max_size=n_max + 2))
+        sched = OverheadSchedule.table(sorted(costs))
+    return model, alpha, n_max, sched
+
+
+def outcome(solve, case):
+    """The solve's numbers as exact float bit patterns, or its error."""
+    try:
+        res = solve(*case)
+    except InvalidBounds as exc:
+        return type(exc), str(exc)
+    return (
+        res.best_n,
+        [float(c).hex() for c in res.partition.cuts],
+        float(res.capital).hex(),
+        float(res.objective).hex(),
+    )
+
+
+@settings(max_examples=400)
+@given(solver_cases())
+@example((atoms([27, 28, 58], np.array([7, 1, 6]) / 14), 0.5, 2, OverheadSchedule.linear(1.0)))
+def test_solver_matches_the_exact_row_reference(case):
+    """The at-most-r rows, both stops and the checkpointed walk report
+    exactly what the exact-r table that kept every row reports."""
+    assert outcome(solve_with_overhead, case) == outcome(reference_solve, case)
+
+
+@pytest.mark.parametrize(
+    ("model", "alpha", "rows", "capital"),
+    [
+        # a top atom heavier than 1 - alpha: row 2 equals row 1
+        (atoms(np.arange(1.0, 201.0), np.append(np.full(199, 0.5 / 199), 0.5)), 0.95, 1, 200.0),
+        # 64 atoms of 1/64 at 0.95: groups of at most 3 atoms, capital 0 at row 22
+        (atoms(np.arange(1.0, 65.0), np.full(64, 1.0 / 64.0)), 0.95, 22, 0.0),
+    ],
+)
+def test_the_pass_stops_early(monkeypatch, model, alpha, rows, capital):
+    """At a row equal to the one before, or at capital 0, whatever the budget."""
+    seen = []
+    real = capital_solver._dp_rows
+
+    def spy(*args):
+        caps, marks, step = real(*args)
+        seen.append(len(caps) - 1)
+        return caps, marks, step
+
+    monkeypatch.setattr(capital_solver, "_dp_rows", spy)
+    res = solve_tranche_dp(model, alpha, model.values.size)
+    assert (res.capital, res.best_n, seen) == (capital, rows, [rows])
+
+
+def test_many_rows_in_bounded_memory():
+    """5000 equal atoms at 0.999 need 1250 groups of 4 atoms (mass 0.0008) for
+    capital 0. Keeping all 1250 rows of 5002 floats would peak near 50 MB."""
+    m = 5000
+    model = atoms(np.arange(1.0, m + 1.0), np.full(m, 1.0 / m))
+    tracemalloc.start()
+    try:
+        res = solve_tranche_dp(model, 0.999, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.best_n == 1250
+    assert res.capital == 0.0
+    assert res.partition.cuts[:4] == (0.0, 4.5, 8.5, 12.5)
+    assert res.partition.cuts == (0.0, *(4.0 * k + 0.5 for k in range(1, 1250)), 5000.0)
+    assert peak < 16 * 2**20, f"peaked at {peak / 2**20:.1f} MB"

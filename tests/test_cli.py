@@ -85,12 +85,25 @@ class TestParseCli:
             ["frobnicate", *UNIFORM],
             ["solve", *THREE_ATOMS, "--max-desks", "2", "--overhead", "linear:-1"],
             ["solve", *THREE_ATOMS, "--max-desks", "2", "--overhead", "table:0.2,0.1"],
+            ["solve", *THREE_ATOMS, "--max-desks", "3", "--overhead", "table:1,2"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             parse_cli(argv)
         assert exc.value.code == 2
+
+    def test_short_overhead_table_names_the_flag(self, capsys):
+        """A table shorter than --max-desks is a usage error, not a run-time one."""
+        argv = ["solve", *THREE_ATOMS, "--max-desks", "3", "--overhead", "table:1,2"]
+        with pytest.raises(SystemExit):
+            parse_cli(argv)
+        assert "--overhead: table covers 1..2 units, --max-desks asks for 3" in (
+            capsys.readouterr().err
+        )
+        assert parse_cli(
+            ["solve", *THREE_ATOMS, "--max-desks", "2", "--overhead", "table:1,2"]
+        ).overhead == OverheadSchedule.table((1.0, 2.0))
 
     def test_usage_error_names_the_flag(self, capsys):
         with pytest.raises(SystemExit):

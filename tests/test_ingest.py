@@ -108,6 +108,29 @@ def test_non_utf8_is_a_one_line_format_error(tmp_path, capsys, lead):
     assert captured.err == f"error: {path}: not UTF-8 text: invalid start byte 0xff\n"
 
 
+@pytest.mark.parametrize(
+    ("text", "row"),
+    [
+        ("loss\n" + "0" * 200_000 + "\n", 2),
+        ("0" * 200_000 + "\n1\n", 1),
+        ('loss\n1\n"2\n3\n' + "0" * 200_000 + "\n", 3),
+    ],
+)
+def test_over_long_field_is_a_one_line_format_error(tmp_path, capsys, text, row):
+    """A field over the csv size limit names the record it sits in, exit 1."""
+    path = tmp_path / "long.csv"
+    path.write_text(text)
+    limit = csv.field_size_limit()
+    message = f"{path}: row {row}: field larger than field limit ({limit})"
+    with pytest.raises(CsvFormatError) as exc:
+        load_losses_csv(path)
+    assert str(exc.value) == message
+    assert main(["var", "--input", str(path), "--alpha", "0.9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_ingest_memory_is_linear_in_rows(tmp_path):
     """A 200 000-row book of 2-decimal losses: under 32 bytes per row at peak."""
     rng = np.random.default_rng(11)
