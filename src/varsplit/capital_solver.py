@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBounds, TooManyAtoms
-from .loss_model import LossModel
+from .loss_model import LossModel, UniformLaw
 from .risk_measures import RiskLevel, as_level
 from .structuring import Partition
 
@@ -104,7 +104,7 @@ def _tranche_tables(model: LossModel, alpha: float):
     only if k >= tstar[j-1]; otherwise its quantile is pvals[tstar[j-1] - 1].
     """
     law = model.law
-    if law is None:
+    if isinstance(law, UniformLaw):
         raise TooManyAtoms("continuous support has no finite atom list; discretize first")
     if law.values.size > MAX_SOLVER_ATOMS:
         raise TooManyAtoms(

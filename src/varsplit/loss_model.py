@@ -11,9 +11,10 @@ All losses live on ``[0, max_loss]``. Quantiles follow the strict-inequality
 convention ``inf {x : P(X <= x) > p}``, which is what makes mass-starved
 tranches carry a quantile of exactly zero.
 
-Both discrete variants are held as one :class:`DiscreteLaw`, and every
-comparison of a prefix weight with a level goes through
-:func:`level_weight`, so the two variants decide boundary cases alike.
+Every model holds a law, a :class:`DiscreteLaw` or a :class:`UniformLaw`,
+and each public query below is one call to it. Every comparison of a prefix
+weight with a level goes through :func:`level_weight`, so both discrete
+variants decide boundary cases alike.
 """
 
 from __future__ import annotations
@@ -116,11 +117,23 @@ class DiscreteLaw:
         cum[-1] = total
         return cls(values, weights, _readonly(cum), float(total))
 
+    @property
+    def whole(self) -> tuple[int, int]:
+        return 0, self.values.size
+
+    @property
+    def lower(self) -> float:
+        """inf {x : cdf(x) > 0}, the bottom of the support."""
+        return float(self.values[0])
+
     def span(self, iv: Interval) -> tuple[int, int]:
         """Index range ``[a, b)`` of the values inside ``iv``."""
         a = int(np.searchsorted(self.values, iv.lo, side="left"))
         side = "right" if iv.closed_hi else "left"
         return a, max(a, int(np.searchsorted(self.values, iv.hi, side=side)))
+
+    def mass(self, a: int, b: int) -> float:
+        return float(np.sum(self.weights[a:b])) / self.total
 
     def top(self, b, alpha: float):
         """Pricing index of a unit that bears the loss on ``values[a:b]``.
@@ -144,6 +157,68 @@ class DiscreteLaw:
         lo = np.maximum(self.cum[a:b] + shift, p * self.total)
         hi = np.minimum(self.cum[a + 1 : b + 1] + shift, self.total)
         return float(np.dot(self.values[a:b], np.clip(hi - lo, 0.0, None))) / self.total
+
+    def mean_tail(self, p: float) -> float:
+        return self.tail(*self.whole, p)
+
+    def es(self, alpha: float) -> float:
+        return self.mean_tail(alpha) / (1.0 - alpha)
+
+    def cdf(self, x: float) -> float:
+        return float(self.cum[np.searchsorted(self.values, x, side="right")]) / self.total
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Inverse-CDF draws from one uniform stream, never off the support."""
+        idx = np.searchsorted(self.cum[1:], rng.random(n) * self.total, side="right")
+        return self.values[np.minimum(idx, self.values.size - 1)]
+
+
+@dataclass(frozen=True, eq=False)
+class UniformLaw:
+    """Flat density on ``[lower, upper]``; a span is the clipped ``(lo, hi)``."""
+
+    lower: float
+    upper: float
+
+    @property
+    def whole(self) -> tuple[float, float]:
+        return self.lower, self.upper
+
+    def span(self, iv: Interval) -> tuple[float, float]:
+        return max(iv.lo, self.lower), min(iv.hi, self.upper)
+
+    def mass(self, lo: float, hi: float) -> float:
+        return 0.0 if hi <= lo else (hi - lo) / (self.upper - self.lower)
+
+    def unit_var(self, lo: float, hi: float, alpha: float) -> float:
+        if hi <= lo:
+            return 0.0
+        width = self.upper - self.lower
+        base = 1.0 - (hi - lo) / width
+        return 0.0 if base > alpha else lo + (alpha - base) * width
+
+    def tail(self, lo: float, hi: float, p: float) -> float:
+        if hi <= lo:
+            return 0.0
+        width = self.upper - self.lower
+        q = (hi - lo) / width
+        base = 1.0 - q
+        u0 = max(p, base)
+        return lo * (1.0 - u0) + width * (q * q - (u0 - base) ** 2) / 2.0
+
+    def mean_tail(self, p: float) -> float:
+        return self.lower * (1.0 - p) + (self.upper - self.lower) * (1.0 - p * p) / 2.0
+
+    def es(self, alpha: float) -> float:
+        return self.lower + (self.upper - self.lower) * (1.0 + alpha) / 2.0
+
+    def cdf(self, x: float) -> float:
+        if self.lower <= x < self.upper:
+            return (x - self.lower) / (self.upper - self.lower)
+        return 0.0 if x < self.lower else 1.0
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(self.lower, self.upper, size=n)
 
 
 def intervals_from_cuts(cuts: Sequence[float]) -> list[Interval]:
@@ -177,8 +252,8 @@ class LossModel:
     lower: float = 0.0
     upper: float = 0.0
     max_loss: float = field(init=False, default=0.0)
-    #: The discrete law behind ``atoms`` and ``empirical``; None for uniform.
-    law: DiscreteLaw | None = field(init=False, default=None, repr=False)
+    #: The law every query delegates to; a :class:`DiscreteLaw` unless uniform.
+    law: DiscreteLaw | UniformLaw = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "atoms":
@@ -257,6 +332,7 @@ class LossModel:
             raise NegativeLoss(f"uniform lower bound must be >= 0, got {lo}")
         if not lo < hi:
             raise InvalidBounds(f"uniform needs lower < upper, got [{lo}, {hi}]")
+        object.__setattr__(self, "law", UniformLaw(lo, hi))
         object.__setattr__(self, "max_loss", hi)
 
 
@@ -315,15 +391,9 @@ def describe(model: LossModel) -> str:
 def cdf(model: LossModel, x: float) -> float:
     """Right-continuous distribution function ``P(X <= x)``."""
     x = float(x)
-    law = model.law
-    if law is not None:
-        idx = int(np.searchsorted(law.values, x, side="right"))
-        return float(law.cum[idx]) / law.total
-    if x < model.lower:
-        return 0.0
-    if x >= model.upper:
-        return 1.0
-    return (x - model.lower) / (model.upper - model.lower)
+    if math.isnan(x):
+        raise InvalidBounds("cdf needs a number, got nan")
+    return model.law.cdf(x)
 
 
 def order_stat_rank(n: int, p: float) -> int:
@@ -340,46 +410,25 @@ def quantile_strict(model: LossModel, p: float) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise InvalidLevel(f"quantile level must lie in (0, 1), got {p}")
-    law = model.law
-    if law is not None:
-        return law.unit_var(0, law.values.size, p)
-    return model.lower + p * (model.upper - model.lower)
+    return model.law.unit_var(*model.law.whole, p)
 
 
 def mass_in(model: LossModel, iv: Interval) -> float:
     """Probability that a loss falls inside ``iv`` under its closure rule."""
-    law = model.law
-    if law is not None:
-        a, b = law.span(iv)
-        return float(np.sum(law.weights[a:b])) / law.total
-    lo = max(iv.lo, model.lower)
-    hi = min(iv.hi, model.upper)
-    if hi <= lo:
-        return 0.0
-    return (hi - lo) / (model.upper - model.lower)
+    return model.law.mass(*model.law.span(iv))
 
 
 def sample(model: LossModel, seed: int, n: int) -> np.ndarray:
-    """Draw ``n`` losses; identical (model, seed, n) gives identical output.
-
-    Discrete variants use inverse-CDF transforms of one uniform stream, so a
-    draw never leaves the declared support.
-    """
+    """Draw ``n`` losses; identical (model, seed, n) gives identical output."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    law = model.law
-    if law is None:
-        return rng.uniform(model.lower, model.upper, size=n)
-    u = rng.random(n)
-    idx = np.searchsorted(law.cum[1:], u * law.total, side="right")
-    return law.values[np.minimum(idx, law.values.size - 1)]
+    return model.law.sample(np.random.default_rng(seed), n)
 
 
 def distinct_atoms(model: LossModel) -> tuple[np.ndarray, np.ndarray]:
     """Distinct support points and their masses for a discrete model."""
     law = model.law
-    if law is None:
+    if isinstance(law, UniformLaw):
         raise InvalidBounds("a uniform model has no finite atom support")
     return law.values.copy(), law.weights / law.total
 

@@ -49,19 +49,12 @@ def tail_integral(model: LossModel, p: float) -> float:
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise InvalidLevel(f"tail integral needs p in [0, 1), got {p}")
-    law = model.law
-    if law is not None:
-        return law.tail(0, law.values.size, p)
-    a, b = model.lower, model.upper
-    return a * (1.0 - p) + (b - a) * (1.0 - p * p) / 2.0
+    return model.law.mean_tail(p)
 
 
 def expected_shortfall(model: LossModel, level: RiskLevel | float) -> float:
     """Average of the strict quantile over the upper tail (alpha, 1)."""
-    alpha = as_level(level).alpha
-    if model.law is None:
-        return model.lower + (model.upper - model.lower) * (1.0 + alpha) / 2.0
-    return tail_integral(model, alpha) / (1.0 - alpha)
+    return model.law.es(as_level(level).alpha)
 
 
 def var_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> float:
@@ -71,38 +64,15 @@ def var_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> 
     loss, the tranche quantile is 0 whenever 1 - q > alpha; otherwise it is
     the smallest x in iv with (1 - q) + P(X in iv, 0 < X <= x) > alpha.
     """
-    alpha = as_level(level).alpha
     law = model.law
-    if law is not None:
-        return law.unit_var(*law.span(iv), alpha)
-    lo = max(iv.lo, model.lower)
-    hi = min(iv.hi, model.upper)
-    if hi <= lo:
-        return 0.0
-    width = model.upper - model.lower
-    q = (hi - lo) / width
-    base = 1.0 - q
-    if base > alpha:
-        return 0.0
-    return lo + (alpha - base) * width
+    return law.unit_var(*law.span(iv), as_level(level).alpha)
 
 
 def es_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> float:
     """Expected shortfall of the tranche loss X * 1{X in iv}."""
     alpha = as_level(level).alpha
     law = model.law
-    if law is not None:
-        return law.tail(*law.span(iv), alpha) / (1.0 - alpha)
-    lo = max(iv.lo, model.lower)
-    hi = min(iv.hi, model.upper)
-    if hi <= lo:
-        return 0.0
-    width = model.upper - model.lower
-    q = (hi - lo) / width
-    base = 1.0 - q
-    u0 = max(alpha, base)
-    integral = lo * (1.0 - u0) + width * (q * q - (u0 - base) ** 2) / 2.0
-    return integral / (1.0 - alpha)
+    return law.tail(*law.span(iv), alpha) / (1.0 - alpha)
 
 
 def additivity_gap(model: LossModel, partition, level: RiskLevel | float) -> float:

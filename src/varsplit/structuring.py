@@ -24,6 +24,7 @@ from .loss_model import (  # MASS_GUARD stays importable from here
     PROB_TOL,
     Interval,
     LossModel,
+    UniformLaw,
     intervals_from_cuts,
     level_weight,
     mass_in,
@@ -35,6 +36,11 @@ from .risk_measures import (
     tail_integral,
     var_of_tranche,
 )
+
+
+def _require_units(subsidiaries: int) -> None:
+    if int(subsidiaries) < 1:
+        raise InvalidBounds(f"need at least one subsidiary, got {subsidiaries}")
 
 
 def _mass_ok(mass: float, alpha: float) -> bool:
@@ -55,6 +61,8 @@ class Partition:
             raise InvalidBounds("a partition needs at least two cut points")
         if pts[0] != 0.0:
             raise InvalidBounds(f"partition must start at 0, got {pts[0]}")
+        if not all(map(math.isfinite, pts)):
+            raise InvalidBounds(f"partition cuts must be finite, got {pts}")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise InvalidBounds("partition cuts must be strictly increasing")
 
@@ -88,10 +96,7 @@ class RandomizedScheme:
     seed: int
 
     def __post_init__(self):
-        if int(self.subsidiaries) < 1:
-            raise InvalidBounds(
-                f"need at least one subsidiary, got {self.subsidiaries}"
-            )
+        _require_units(self.subsidiaries)
         object.__setattr__(self, "subsidiaries", int(self.subsidiaries))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -157,7 +162,7 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
     alpha = lvl.alpha
     if n is not None and n < 1:
         raise NInsufficient(f"tranche count must be >= 1, got {n}")
-    if model.law is None:
+    if isinstance(model.law, UniformLaw):
         n_min = min_subsidiaries(lvl)
         if n is None:
             n = n_min
@@ -270,11 +275,6 @@ def validate_scheme(scheme: RandomizedScheme, level: RiskLevel | float) -> Schem
     )
 
 
-def _smallest_positive_quantile(model: LossModel) -> float:
-    """inf {x : cdf(x) > 0}, the bottom of the support."""
-    return model.lower if model.law is None else float(model.law.values[0])
-
-
 def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | float) -> float:
     """Strict quantile of one subsidiary's loss under uniform random routing.
 
@@ -282,18 +282,19 @@ def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | 
     otherwise, so its quantile is a rescaled whole-book quantile once the
     activation probability eats into the tail budget.
     """
-    lvl = as_level(level)
-    alpha = lvl.alpha
+    _require_units(subsidiaries)
+    alpha = as_level(level).alpha
     if _mass_ok(1.0 / subsidiaries, alpha):
         return 0.0
     p = 1.0 - subsidiaries * (1.0 - alpha)
     if p <= 0.0:
-        return _smallest_positive_quantile(model)
+        return model.law.lower
     return quantile_strict(model, p)
 
 
 def randomized_unit_es(model: LossModel, subsidiaries: int, level: RiskLevel | float) -> float:
     """Expected shortfall of one subsidiary's loss under uniform routing."""
+    _require_units(subsidiaries)
     alpha = as_level(level).alpha
     w0 = max(0.0, 1.0 - subsidiaries * (1.0 - alpha))
     return tail_integral(model, w0) / (subsidiaries * (1.0 - alpha))

@@ -9,8 +9,10 @@ solver-agreement suites assert exact equality instead of tolerances.
 
 ``brute_force_oracle`` is the exhaustive reference the solver suites check
 the dynamic program against, ``reference_solve`` the exact-r suffix table the
-vectorized solver must match bit for bit, and ``csv_rows_oracle`` the
-row-by-row CSV reader the ingest suite checks ``load_losses_csv`` against.
+vectorized solver must match bit for bit, ``csv_rows_oracle`` the
+row-by-row CSV reader the ingest suite checks ``load_losses_csv`` against,
+and the ``uniform_*`` functions the closed forms the uniform law must
+reproduce bit for bit.
 """
 
 import csv
@@ -37,6 +39,7 @@ from varsplit import (
     empirical,
 )
 from varsplit.capital_solver import _tranche_tables
+from varsplit.loss_model import DiscreteLaw
 
 #: Largest support the exhaustive oracle will enumerate.
 MAX_ORACLE_ATOMS = 12
@@ -99,7 +102,7 @@ def brute_force_oracle(model: LossModel, level: RiskLevel | float, n: int) -> fl
     """
     alpha = as_level(level).alpha
     law = model.law
-    if law is None:
+    if not isinstance(law, DiscreteLaw):
         raise InvalidBounds("the oracle enumerates explicit atom lists only")
     m = law.values.size
     if m > MAX_ORACLE_ATOMS:
@@ -272,3 +275,69 @@ def reference_solve(
     return SolveResult(
         best_n=groups, partition=partition, capital=capital, objective=float(obj)
     )
+
+
+# The closed forms of a uniform model as they stood before the model held a
+# law, each body kept verbatim (model.lower and model.upper are the bounds);
+# the level checks that ran before them are left to the callers.
+
+
+def uniform_cdf(model: LossModel, x: float) -> float:
+    x = float(x)
+    if x < model.lower:
+        return 0.0
+    if x >= model.upper:
+        return 1.0
+    return (x - model.lower) / (model.upper - model.lower)
+
+
+def uniform_quantile_strict(model: LossModel, p: float) -> float:
+    return model.lower + p * (model.upper - model.lower)
+
+
+def uniform_mass_in(model: LossModel, iv) -> float:
+    lo = max(iv.lo, model.lower)
+    hi = min(iv.hi, model.upper)
+    if hi <= lo:
+        return 0.0
+    return (hi - lo) / (model.upper - model.lower)
+
+
+def uniform_sample(model: LossModel, seed: int, n: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.uniform(model.lower, model.upper, size=n)
+
+
+def uniform_tail_integral(model: LossModel, p: float) -> float:
+    a, b = model.lower, model.upper
+    return a * (1.0 - p) + (b - a) * (1.0 - p * p) / 2.0
+
+
+def uniform_expected_shortfall(model: LossModel, alpha: float) -> float:
+    return model.lower + (model.upper - model.lower) * (1.0 + alpha) / 2.0
+
+
+def uniform_var_of_tranche(model: LossModel, iv, alpha: float) -> float:
+    lo = max(iv.lo, model.lower)
+    hi = min(iv.hi, model.upper)
+    if hi <= lo:
+        return 0.0
+    width = model.upper - model.lower
+    q = (hi - lo) / width
+    base = 1.0 - q
+    if base > alpha:
+        return 0.0
+    return lo + (alpha - base) * width
+
+
+def uniform_es_of_tranche(model: LossModel, iv, alpha: float) -> float:
+    lo = max(iv.lo, model.lower)
+    hi = min(iv.hi, model.upper)
+    if hi <= lo:
+        return 0.0
+    width = model.upper - model.lower
+    q = (hi - lo) / width
+    base = 1.0 - q
+    u0 = max(alpha, base)
+    integral = lo * (1.0 - u0) + width * (q * q - (u0 - base) ** 2) / 2.0
+    return integral / (1.0 - alpha)

@@ -102,7 +102,7 @@ class TestNegativeZero:
             empirical([1.0, -0.0, 0.0]),
             uniform(-0.0, 1.0),
         ):
-            stored = [model.lower] if model.law is None else model.law.values
+            stored = [model.lower] if model.kind == "uniform" else model.law.values
             assert not np.signbit(stored).any()
             assert "-0.0" not in describe(model)
 
@@ -171,6 +171,15 @@ class TestCdf:
         ):
             assert cdf(model, model.max_loss) == 1.0
             assert cdf(model, -1e-9) == 0.0
+
+    @pytest.mark.parametrize(
+        "model",
+        [uniform(0.0, 1.0), atoms([0.0, 10.0], [0.5, 0.5]), empirical([1.0, 2.0])],
+        ids=["uniform", "atoms", "empirical"],
+    )
+    def test_nan_is_rejected_by_every_variant(self, model):
+        with pytest.raises(InvalidBounds, match="nan"):
+            cdf(model, float("nan"))
 
     def test_nondecreasing_on_probe_grid(self):
         """cdf must be monotone over a dense grid for all three variants."""

@@ -67,6 +67,13 @@ class TestPartitionType:
         with pytest.raises(InvalidBounds, match="strictly increasing"):
             Partition((0.0, 0.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_cuts_rejected(self, bad):
+        """A NaN cut fails every comparison, so only a finiteness check stops it."""
+        for cuts in ((0.0, bad), (0.0, 0.5, bad), (0.0, bad, 1.0)):
+            with pytest.raises(InvalidBounds, match="finite"):
+                Partition(cuts)
+
     def test_tranche_count_and_closure(self):
         part = Partition((0.0, 0.5, 1.0))
         assert part.n_tranches == 2
@@ -274,6 +281,14 @@ class TestRandomizedUnitAnalytics:
     def test_boundary_and_small_schemes_pay_in_full(self):
         assert randomized_unit_var(SINGLE_ATOM_100, 20, 0.95) == 100.0
         assert randomized_unit_var(SINGLE_ATOM_100, 10, 0.95) == 100.0
+
+    @pytest.mark.parametrize("units", [0, -1])
+    @pytest.mark.parametrize("model", [U01, SINGLE_ATOM_100], ids=["uniform", "atom"])
+    def test_fewer_than_one_subsidiary_rejected(self, model, units):
+        """No division by zero, no false zero capital, no misleading level error."""
+        for measure in (randomized_unit_var, randomized_unit_es):
+            with pytest.raises(InvalidBounds, match="at least one subsidiary"):
+                measure(model, units, 0.95)
 
     def test_small_scheme_on_continuous_model(self):
         """With N = 10 the unit's tail reaches the median of the book."""
