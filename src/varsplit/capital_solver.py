@@ -16,7 +16,9 @@ carries a single precomputed cost and a single threshold index
 Row r of its suffix table holds, at atom i, the cheapest cover of atoms
 i..mp by at most r groups, min(exactly r groups, row r - 1), with the empty
 suffix at 0. Each row is a few numpy calls on the one before, and the pass
-stops at the first row whose capital is 0 or that equals the row before.
+stops before the first row equal to the one before it. That one stop also
+ends a pass that reaches capital 0: rows never rise with i and no cost is
+negative, so a row with capital 0 is all zeros and the next row equals it.
 For R rows over m atoms, time is O(R x m) in O(R) numpy calls. Memory is
 O(m x sqrt(rmax)), where rmax = min(n, m) bounds R for a budget of n groups:
 one row in every ceil(sqrt(rmax)) is kept as a checkpoint for the cut walk.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBounds, TooManyAtoms
-from .loss_model import LossModel, UniformLaw
+from .loss_model import LossModel, discrete_law
 from .risk_measures import RiskLevel, as_level
 from .structuring import Partition
 
@@ -40,7 +42,11 @@ MAX_SOLVER_ATOMS = 5000
 
 @dataclass(frozen=True)
 class OverheadSchedule:
-    """Nondecreasing cost of running n units, charged on top of capital."""
+    """Nondecreasing cost of running n units, charged on top of capital.
+
+    ``units`` is the largest unit count the schedule prices: the length of a
+    table, and unbounded (``math.inf``) for the other variants.
+    """
 
     variant: str
     rate: float = 0.0
@@ -75,14 +81,18 @@ class OverheadSchedule:
     def table(cls, costs) -> "OverheadSchedule":
         return cls(variant="table", costs=tuple(costs))
 
+    @property
+    def units(self) -> int | float:
+        return len(self.costs) if self.variant == "table" else math.inf
+
     def cost(self, n: int) -> float:
         if self.variant == "none":
             return 0.0
         if self.variant == "linear":
             return self.rate * n
-        if n > len(self.costs):
+        if n > self.units:
             raise InvalidBounds(
-                f"table overhead covers 1..{len(self.costs)} units, asked for {n}"
+                f"table overhead covers 1..{self.units} units, asked for {n}"
             )
         return self.costs[n - 1]
 
@@ -103,9 +113,7 @@ def _tranche_tables(model: LossModel, alpha: float):
     For a right edge j (1-based), the group (k+1..j) has zero quantile if and
     only if k >= tstar[j-1]; otherwise its quantile is pvals[tstar[j-1] - 1].
     """
-    law = model.law
-    if isinstance(law, UniformLaw):
-        raise TooManyAtoms("continuous support has no finite atom list; discretize first")
+    law = discrete_law(model)
     if law.values.size > MAX_SOLVER_ATOMS:
         raise TooManyAtoms(
             f"{law.values.size} distinct support points exceed the solver bound "
@@ -136,10 +144,12 @@ def _next_row(prev: np.ndarray, varpt: np.ndarray, jz: np.ndarray) -> np.ndarray
 def _dp_rows(jz: np.ndarray, varpt: np.ndarray, rmax: int):
     """Capitals caps[r] with at most r groups, plus every step-th row.
 
-    Stops after the first row whose capital is 0, or before the first row
-    equal to the one before it: the recurrence is a fixed map, so every later
-    row equals it too. Keeping one row in every step = ceil(sqrt(rmax)) bounds
-    memory by O(m x sqrt(rmax)); time is O(rows x m) in numpy calls.
+    Stops before the first row equal to the one before it: the recurrence is
+    a fixed map, so every later row equals it too. A row with capital 0 is all
+    zeros (rows never rise with i and no cost is negative), so the row after
+    it repeats it and the same stop ends the pass there. Keeping one row in
+    every step = ceil(sqrt(rmax)) bounds memory by O(m x sqrt(rmax)); time is
+    O(rows x m) in numpy calls.
     """
     step = math.isqrt(rmax - 1) + 1
     row = np.append(np.full(varpt.size + 1, np.inf), 0.0)
@@ -152,8 +162,6 @@ def _dp_rows(jz: np.ndarray, varpt: np.ndarray, rmax: int):
         caps.append(float(row[1]))
         if r % step == 0:
             marks.append(row)
-        if row[1] == 0.0:
-            break
     return caps, marks, step
 
 
@@ -186,15 +194,38 @@ def _walk_cuts(marks, step, jz, tstar, varpt, pvals, gstar, target, max_loss):
     return Partition(tuple(cuts))
 
 
-def _solve(
-    model: LossModel, level: RiskLevel | float, n_max: int, sched: OverheadSchedule
-) -> SolveResult:
-    """Minimize capital(N) + overhead(N) over N = 1..n_max with one DP pass.
+def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> SolveResult:
+    """Cheapest split of the support into at most n contiguous tranches.
 
-    capital(N) is caps[N], reached first at g(N) groups. Past the last row
-    capital stays put and a nondecreasing schedule costs no less, so no
-    larger N can win; ties go to smaller N.
+    Ties break toward fewer groups first, then toward the lexicographically
+    smallest cut vector, so the result is reproducible. Cuts land midway
+    between adjacent support points.
     """
+    if n < 1:
+        raise InvalidBounds(f"need at least one tranche, got {n}")
+    return solve_with_overhead(model, level, n)
+
+
+def solve_with_overhead(
+    model: LossModel,
+    level: RiskLevel | float,
+    n_max: int,
+    overhead: OverheadSchedule | None = None,
+) -> SolveResult:
+    """Minimize capital(N) + overhead(N) over unit counts N = 1..n_max.
+
+    capital(N) is the cheapest split into at most N tranches, caps[N] of one
+    DP pass. Past its last row capital stays put and a nondecreasing schedule
+    costs no less, so no larger N can win. Ties go to smaller N, so the
+    winning N always equals the number of groups its partition uses.
+    """
+    if n_max < 1:
+        raise InvalidBounds(f"need at least one unit, got {n_max}")
+    sched = overhead if overhead is not None else OverheadSchedule.none()
+    if sched.units < n_max:
+        raise InvalidBounds(
+            f"table overhead covers 1..{sched.units} units, need {n_max}"
+        )
     lvl = as_level(level)
     pvals, tstar = _tranche_tables(model, lvl.alpha)
     mp = pvals.size
@@ -213,37 +244,3 @@ def _solve(
     return SolveResult(
         best_n=groups, partition=partition, capital=capital, objective=objs[best]
     )
-
-
-def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> SolveResult:
-    """Cheapest split of the support into at most n contiguous tranches.
-
-    Ties break toward fewer groups first, then toward the lexicographically
-    smallest cut vector, so the result is reproducible. Cuts land midway
-    between adjacent support points.
-    """
-    if n < 1:
-        raise InvalidBounds(f"need at least one tranche, got {n}")
-    return _solve(model, level, n, OverheadSchedule.none())
-
-
-def solve_with_overhead(
-    model: LossModel,
-    level: RiskLevel | float,
-    n_max: int,
-    overhead: OverheadSchedule | None = None,
-) -> SolveResult:
-    """Minimize capital(N) + overhead(N) over unit counts N = 1..n_max.
-
-    capital(N) is the cheapest split into at most N tranches; ties break
-    toward smaller N. With a nondecreasing schedule the winning N always
-    equals the number of groups its partition actually uses.
-    """
-    if n_max < 1:
-        raise InvalidBounds(f"need at least one unit, got {n_max}")
-    sched = overhead if overhead is not None else OverheadSchedule.none()
-    if sched.variant == "table" and len(sched.costs) < n_max:
-        raise InvalidBounds(
-            f"table overhead covers 1..{len(sched.costs)} units, need {n_max}"
-        )
-    return _solve(model, level, n_max, sched)

@@ -84,24 +84,6 @@ class CapitalReport:
     restriction_note: str = RESTRICTION_NOTE
 
 
-@dataclass(frozen=True)
-class CliCommand:
-    """Parsed and validated command line."""
-
-    action: str
-    model_spec: dict | None
-    input_path: str | None
-    alpha: float
-    tranches: int | None
-    subsidiaries: int | None
-    max_desks: int | None
-    overhead: OverheadSchedule
-    trials: int
-    seed: int
-    format: str
-    out: str | None
-
-
 def _parse_dist(text: str) -> dict:
     kind, _, rest = text.partition(":")
     if kind == "uniform":
@@ -140,7 +122,10 @@ def _add_flags(p: argparse.ArgumentParser) -> None:
     src.add_argument(
         "--dist", help="model descriptor: uniform:a,b or atoms:v1:p1,v2:p2,..."
     )
-    src.add_argument("--input", help="CSV file with a single 'loss' column")
+    src.add_argument(
+        "--input", dest="input_path", metavar="INPUT",
+        help="CSV file with a single 'loss' column",
+    )
     p.add_argument("--alpha", type=float, default=0.95, help="risk level in (0,1)")
     p.add_argument("--tranches", type=int, default=None, help="tranche count")
     p.add_argument("--subsidiaries", type=int, default=None, help="subsidiary count")
@@ -157,8 +142,12 @@ def _add_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the report here, not stdout")
 
 
-def parse_cli(argv=None) -> CliCommand:
-    """Parse argv into a validated command; exits with status 2 on misuse."""
+def parse_cli(argv=None) -> argparse.Namespace:
+    """Parse argv into a validated argparse namespace; exits 2 on misuse.
+
+    ``model_spec`` holds the parsed ``--dist`` (None with ``--input``) and
+    ``overhead`` the parsed :class:`OverheadSchedule`.
+    """
     parser = argparse.ArgumentParser(
         prog="varsplit",
         description="Tranche and subsidiary structuring under quantile capital rules",
@@ -180,14 +169,14 @@ def parse_cli(argv=None) -> CliCommand:
         RiskLevel(ns.alpha)
     except VarsplitError as exc:
         parser.error(f"--alpha: {exc}")
-    model_spec = None
+    ns.model_spec = None
     if ns.dist is not None:
         try:
-            model_spec = _parse_dist(ns.dist)
+            ns.model_spec = _parse_dist(ns.dist)
         except ValueError as exc:
             parser.error(f"--dist: {exc}")
     try:
-        overhead = _parse_overhead(ns.overhead)
+        ns.overhead = _parse_overhead(ns.overhead)
     except ValueError as exc:
         parser.error(f"--overhead: {exc}")
     for flag, value in (
@@ -203,29 +192,12 @@ def parse_cli(argv=None) -> CliCommand:
         parser.error(f"--seed: must be >= 0, got {ns.seed}")
     if ns.action == "solve" and ns.max_desks is None:
         parser.error("solve requires --max-desks")
-    if (
-        ns.action == "solve"
-        and overhead.variant == "table"
-        and len(overhead.costs) < ns.max_desks
-    ):
+    if ns.action == "solve" and ns.overhead.units < ns.max_desks:
         parser.error(
-            f"--overhead: table covers 1..{len(overhead.costs)} units, "
+            f"--overhead: table covers 1..{ns.overhead.units} units, "
             f"--max-desks asks for {ns.max_desks}"
         )
-    return CliCommand(
-        action=ns.action,
-        model_spec=model_spec,
-        input_path=ns.input,
-        alpha=ns.alpha,
-        tranches=ns.tranches,
-        subsidiaries=ns.subsidiaries,
-        max_desks=ns.max_desks,
-        overhead=overhead,
-        trials=ns.trials,
-        seed=ns.seed,
-        format=ns.format,
-        out=ns.out,
-    )
+    return ns
 
 
 def _substream(seed: int, stream: int) -> int:
@@ -233,7 +205,7 @@ def _substream(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed, stream]).generate_state(1, np.uint64)[0])
 
 
-def _load_model(command: CliCommand) -> LossModel:
+def _load_model(command: argparse.Namespace) -> LossModel:
     if command.model_spec is not None:
         return build_model(command.model_spec)
     return load_losses_csv(command.input_path)
@@ -267,7 +239,7 @@ def _assemble(
     )
 
 
-def _whole_book_report(model: LossModel, level: RiskLevel, command: CliCommand):
+def _whole_book_report(model: LossModel, level: RiskLevel, command: argparse.Namespace):
     row = TrancheRow(
         mass=1.0,
         var_analytic=var(model, level),
@@ -304,7 +276,7 @@ def _partition_report(
     )
 
 
-def _tranche_report(model: LossModel, level: RiskLevel, command: CliCommand):
+def _tranche_report(model: LossModel, level: RiskLevel, command: argparse.Namespace):
     partition = build_partition(model, level, command.tranches)
     emp: list[float | None] = [None] * partition.n_tranches
     trials = 0
@@ -334,7 +306,7 @@ def _unit_vars(
     ]
 
 
-def _randomize_report(model: LossModel, level: RiskLevel, command: CliCommand):
+def _randomize_report(model: LossModel, level: RiskLevel, command: argparse.Namespace):
     n_subs = (
         command.subsidiaries
         if command.subsidiaries is not None
@@ -360,8 +332,8 @@ def _randomize_report(model: LossModel, level: RiskLevel, command: CliCommand):
     )
 
 
-def run_simulation(command: CliCommand) -> CapitalReport:
-    """Execute a parsed command and gather the full report."""
+def run_simulation(command: argparse.Namespace) -> CapitalReport:
+    """Execute the argparse namespace from :func:`parse_cli`; gather the report."""
     model = _load_model(command)
     level = RiskLevel(command.alpha)
     if command.action in ("var", "es"):

@@ -425,11 +425,16 @@ def sample(model: LossModel, seed: int, n: int) -> np.ndarray:
     return model.law.sample(np.random.default_rng(seed), n)
 
 
+def discrete_law(model: LossModel) -> DiscreteLaw:
+    """The model's :class:`DiscreteLaw`; a uniform model has none."""
+    if isinstance(model.law, UniformLaw):
+        raise InvalidBounds("a uniform model has no finite atom support")
+    return model.law
+
+
 def distinct_atoms(model: LossModel) -> tuple[np.ndarray, np.ndarray]:
     """Distinct support points and their masses for a discrete model."""
-    law = model.law
-    if isinstance(law, UniformLaw):
-        raise InvalidBounds("a uniform model has no finite atom support")
+    law = discrete_law(model)
     return law.values.copy(), law.weights / law.total
 
 

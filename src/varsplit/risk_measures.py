@@ -69,10 +69,18 @@ def var_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> 
 
 
 def es_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> float:
-    """Expected shortfall of the tranche loss X * 1{X in iv}."""
+    """Expected shortfall of the tranche loss X * 1{X in iv}.
+
+    A tranche that spans the whole support is the whole book, so it reads
+    :func:`expected_shortfall`'s closed form, which the uniform tranche
+    formula does not reproduce to the last bit.
+    """
     alpha = as_level(level).alpha
     law = model.law
-    return law.tail(*law.span(iv), alpha) / (1.0 - alpha)
+    span = law.span(iv)
+    if span == law.whole:
+        return law.es(alpha)
+    return law.tail(*span, alpha) / (1.0 - alpha)
 
 
 def additivity_gap(model: LossModel, partition, level: RiskLevel | float) -> float:

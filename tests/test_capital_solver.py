@@ -1,5 +1,6 @@
 """Tests for the tranche DP solver, the enumeration oracle, and overhead search."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -128,7 +129,9 @@ class TestSolveTrancheDp:
     def test_input_validation(self):
         with pytest.raises(InvalidBounds, match="at least one tranche"):
             solve_tranche_dp(A3, 0.95, 0)
-        with pytest.raises(TooManyAtoms, match="discretize"):
+        with pytest.raises(InvalidBounds, match="at least one unit"):
+            solve_with_overhead(A3, 0.95, 0)
+        with pytest.raises(InvalidBounds, match="no finite atom support"):
             solve_tranche_dp(uniform(0.0, 1.0), 0.95, 2)
         with pytest.raises(InvalidBounds, match="mass sits at zero"):
             solve_tranche_dp(atoms([0.0], [1.0]), 0.95, 1)
@@ -192,10 +195,14 @@ class TestOverheadSchedule:
             OverheadSchedule.table(())
         with pytest.raises(InvalidBounds, match="entries must be finite"):
             OverheadSchedule.table((0.0, -1.0))
+        with pytest.raises(InvalidBounds, match="unknown overhead variant"):
+            OverheadSchedule(variant="cubic")
 
     def test_table_must_cover_the_request(self):
         sched = OverheadSchedule.table((0.0, 0.1))
-        with pytest.raises(InvalidBounds):
+        assert sched.units == 2
+        assert OverheadSchedule.none().units == OverheadSchedule.linear(0.5).units == math.inf
+        with pytest.raises(InvalidBounds, match="covers 1..2 units, asked for 3"):
             sched.cost(3)
 
 
@@ -236,7 +243,7 @@ class TestSolveWithOverhead:
         assert res.capital == 10.0
 
     def test_table_shorter_than_n_max_rejected(self):
-        with pytest.raises(InvalidBounds):
+        with pytest.raises(InvalidBounds, match="covers 1..2 units, need 5"):
             solve_with_overhead(A3, 0.95, 5, OverheadSchedule.table((0.0, 0.1)))
 
     def test_objective_never_below_capital(self):

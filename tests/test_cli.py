@@ -75,6 +75,7 @@ class TestParseCli:
             ["var"],
             ["var", *UNIFORM, "--input", "x.csv"],
             ["var", "--dist", "gamma:1,2"],
+            ["var", "--dist", "uniform:1"],
             ["var", "--dist", "atoms:1;0.5"],
             ["var", *UNIFORM, "--overhead", "cubic:1"],
             ["var", *UNIFORM, "--trials", "0"],

@@ -72,6 +72,31 @@ class TestConstruction:
         with pytest.raises(InvalidBounds):
             uniform(2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        ("build", "error", "match"),
+        [
+            (lambda: LossModel(kind="pareto"), InvalidBounds, "unknown model kind"),
+            (lambda: LossModel(kind="atoms"), EmptySupport, "needs values and probs"),
+            (lambda: LossModel(kind="empirical"), EmptySupport, "needs samples"),
+            (
+                lambda: LossModel(kind="atoms", values=[1.0, 2.0], probs=[1.0]),
+                InvalidBounds,
+                "must align",
+            ),
+            (lambda: atoms([1.0, np.inf], [0.5, 0.5]), InvalidBounds, "must be finite"),
+            (lambda: empirical([1.0, np.nan]), InvalidBounds, "must be finite"),
+            (
+                lambda: LossModel(kind="empirical", samples=np.array([2.0, 1.0])),
+                InvalidBounds,
+                "sorted nondecreasing",
+            ),
+            (lambda: uniform(0.0, np.inf), InvalidBounds, "must be finite"),
+        ],
+    )
+    def test_constructor_validation(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
     def test_empirical_sorts_samples(self):
         model = empirical([3.0, 1.0, 2.0])
         assert list(model.samples) == [1.0, 2.0, 3.0]
@@ -298,6 +323,8 @@ class TestIntervals:
             Interval(0.5, 0.5)
         with pytest.raises(InvalidBounds):
             Interval(-0.1, 0.5)
+        with pytest.raises(InvalidBounds, match="must be finite"):
+            Interval(0.0, np.inf)
         with pytest.raises(InvalidBounds):
             intervals_from_cuts([0.0])
 
@@ -317,6 +344,10 @@ class TestSampling:
         second = sample(model, seed=123, n=1000)
         np.testing.assert_array_equal(first, second)
         assert set(np.unique(first)) <= {0.0, 5.0, 10.0}
+
+    def test_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            sample(uniform(0.0, 1.0), seed=1, n=0)
 
     def test_seed_changes_stream(self):
         a = sample(uniform(0.0, 1.0), seed=1, n=100)

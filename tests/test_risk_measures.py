@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import dyadic_weights, grid_uniform_samples, integer_samples, random_dyadic_atoms
 from varsplit import (
@@ -212,6 +214,29 @@ class TestEsOfTranche:
         assert float(np.mean(tail)) == pytest.approx(
             es_of_tranche(U01, iv, 0.95), abs=0.01
         )
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(["atoms", "empirical", "uniform"]),
+        st.floats(0.0, 10.0),
+        st.floats(0.1, 50.0),
+        st.floats(0.01, 0.999),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("uniform", 0.0, 37.00181710314244, 0.6072769181716363, 0)
+    def test_whole_support_tranche_is_the_whole_book(self, kind, lower, width, alpha, seed):
+        """One tranche over the whole support costs exactly the whole-book ES."""
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            model = uniform(lower, lower + width)
+        elif kind == "atoms":
+            values = np.unique(lower + width * rng.random(int(rng.integers(1, 9))))
+            weights = rng.random(values.size) + 0.01
+            model = atoms(values, weights / weights.sum())
+        else:
+            model = empirical(lower + width * rng.random(int(rng.integers(1, 60))))
+        whole = Interval(0.0, model.max_loss, closed_hi=True)
+        assert es_of_tranche(model, whole, alpha) == expected_shortfall(model, alpha)
 
     def test_never_below_tranche_var(self):
         rng = np.random.default_rng(409)
