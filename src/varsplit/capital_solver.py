@@ -44,57 +44,55 @@ MAX_SOLVER_ATOMS = 5000
 class OverheadSchedule:
     """Nondecreasing cost of running n units, charged on top of capital.
 
-    ``units`` is the largest unit count the schedule prices: the length of a
-    table, and unbounded (``math.inf``) for the other variants.
+    A schedule charges ``rate * n`` or, given ``costs``, the table entry
+    ``costs[n - 1]``; no overhead is rate 0. ``units`` is the largest unit
+    count the schedule prices: the length of a table, and unbounded
+    (``math.inf``) for a rate.
     """
 
-    variant: str
     rate: float = 0.0
-    costs: tuple[float, ...] = ()
+    costs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.variant not in ("none", "linear", "table"):
-            raise InvalidBounds(f"unknown overhead variant {self.variant!r}")
         rate = float(self.rate)
         if not np.isfinite(rate) or rate < 0.0:
             raise InvalidBounds(f"overhead rate must be finite and >= 0, got {rate}")
         object.__setattr__(self, "rate", rate)
+        if self.costs is None:
+            return
+        if rate != 0.0:
+            raise InvalidBounds("an overhead takes a rate or a table, not both")
         costs = tuple(float(c) for c in self.costs)
         object.__setattr__(self, "costs", costs)
-        if self.variant == "table":
-            if not costs:
-                raise InvalidBounds("table overhead needs at least one entry")
-            if any(c < 0.0 or not np.isfinite(c) for c in costs):
-                raise InvalidBounds("table overhead entries must be finite and >= 0")
-            if any(b < a for a, b in zip(costs, costs[1:])):
-                raise InvalidBounds("table overhead must be nondecreasing")
+        if not costs:
+            raise InvalidBounds("table overhead needs at least one entry")
+        if any(c < 0.0 or not np.isfinite(c) for c in costs):
+            raise InvalidBounds("table overhead entries must be finite and >= 0")
+        if any(b < a for a, b in zip(costs, costs[1:])):
+            raise InvalidBounds("table overhead must be nondecreasing")
 
     @classmethod
     def none(cls) -> "OverheadSchedule":
-        return cls(variant="none")
+        return cls()
 
     @classmethod
     def linear(cls, rate: float) -> "OverheadSchedule":
-        return cls(variant="linear", rate=rate)
+        return cls(rate=rate)
 
     @classmethod
     def table(cls, costs) -> "OverheadSchedule":
-        return cls(variant="table", costs=tuple(costs))
+        return cls(costs=tuple(costs))
 
     @property
     def units(self) -> int | float:
-        return len(self.costs) if self.variant == "table" else math.inf
+        return math.inf if self.costs is None else len(self.costs)
 
     def cost(self, n: int) -> float:
-        if self.variant == "none":
-            return 0.0
-        if self.variant == "linear":
-            return self.rate * n
-        if n > self.units:
+        if not 1 <= n <= self.units:
             raise InvalidBounds(
-                f"table overhead covers 1..{self.units} units, asked for {n}"
+                f"overhead covers 1..{self.units} units, asked for {n}"
             )
-        return self.costs[n - 1]
+        return self.rate * n if self.costs is None else self.costs[n - 1]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from .risk_measures import (
     var_of_tranche,
 )
 from .structuring import (
-    Partition,
     RandomizedScheme,
     build_partition,
     decompose,
@@ -211,82 +210,6 @@ def _load_model(command: argparse.Namespace) -> LossModel:
     return load_losses_csv(command.input_path)
 
 
-def _assemble(
-    model: LossModel,
-    level: RiskLevel,
-    n_units: int,
-    cuts,
-    rows,
-    trials: int,
-    seed: int,
-) -> CapitalReport:
-    var_total = var(model, level)
-    sum_vars = float(sum(row.var_analytic for row in rows))
-    sum_es = float(sum(row.es_analytic for row in rows))
-    return CapitalReport(
-        alpha=level.alpha,
-        model=describe(model),
-        n_units=n_units,
-        cuts=tuple(float(c) for c in cuts),
-        tranches=tuple(rows),
-        var_total=var_total,
-        es_total=expected_shortfall(model, level),
-        sum_tranche_vars=sum_vars,
-        sum_tranche_es=sum_es,
-        additivity_gap=sum_vars - var_total,
-        trials=trials,
-        seed=seed,
-    )
-
-
-def _whole_book_report(model: LossModel, level: RiskLevel, command: argparse.Namespace):
-    row = TrancheRow(
-        mass=1.0,
-        var_analytic=var(model, level),
-        var_empirical=None,
-        es_analytic=expected_shortfall(model, level),
-    )
-    return _assemble(
-        model, level, 1, (0.0, model.max_loss), [row], 0, command.seed
-    )
-
-
-def _partition_report(
-    model: LossModel,
-    level: RiskLevel,
-    partition: Partition,
-    emp: list[float | None],
-    trials: int,
-    seed: int,
-) -> CapitalReport:
-    dec = decompose(model, partition, level)
-    rows = [
-        TrancheRow(
-            mass=float(mass),
-            var_analytic=float(tranche_var),
-            var_empirical=emp_var,
-            es_analytic=es_of_tranche(model, iv, level),
-        )
-        for mass, tranche_var, emp_var, iv in zip(
-            dec.masses, dec.tranche_vars, emp, partition.intervals()
-        )
-    ]
-    return _assemble(
-        model, level, partition.n_tranches, partition.cuts, rows, trials, seed
-    )
-
-
-def _tranche_report(model: LossModel, level: RiskLevel, command: argparse.Namespace):
-    partition = build_partition(model, level, command.tranches)
-    emp: list[float | None] = [None] * partition.n_tranches
-    trials = 0
-    if command.action == "simulate":
-        trials = command.trials
-        book = empirical(sample(model, _substream(command.seed, 0), trials))
-        emp = [var_of_tranche(book, iv, level) for iv in partition.intervals()]
-    return _partition_report(model, level, partition, emp, trials, command.seed)
-
-
 def _unit_vars(
     losses: np.ndarray, idx: np.ndarray, n_units: int, level: RiskLevel
 ) -> list[float]:
@@ -306,45 +229,69 @@ def _unit_vars(
     ]
 
 
-def _randomize_report(model: LossModel, level: RiskLevel, command: argparse.Namespace):
-    n_subs = (
-        command.subsidiaries
-        if command.subsidiaries is not None
-        else min_subsidiaries(level)
-    )
-    scheme = RandomizedScheme(n_subs, seed=_substream(command.seed, 1))
-    losses = sample(model, _substream(command.seed, 0), command.trials)
-    emp = _unit_vars(losses, randomized_assign(scheme, losses), n_subs, level)
-    unit_var = randomized_unit_var(model, n_subs, level)
-    unit_es = randomized_unit_es(model, n_subs, level)
-    activation = (1.0 - cdf(model, 0.0)) / n_subs
-    rows = [
-        TrancheRow(
-            mass=activation,
-            var_analytic=unit_var,
-            var_empirical=emp_var,
-            es_analytic=unit_es,
-        )
-        for emp_var in emp
-    ]
-    return _assemble(
-        model, level, n_subs, (), rows, command.trials, command.seed
-    )
-
-
 def run_simulation(command: argparse.Namespace) -> CapitalReport:
-    """Execute the argparse namespace from :func:`parse_cli`; gather the report."""
+    """Execute the argparse namespace from :func:`parse_cli`; gather the report.
+
+    Every command yields its cuts, one row per unit and its Monte Carlo trial
+    count; the whole-book totals and the sums over the rows are shared.
+    """
     model = _load_model(command)
     level = RiskLevel(command.alpha)
+    var_total = var(model, level)
+    es_total = expected_shortfall(model, level)
+    trials = 0
     if command.action in ("var", "es"):
-        return _whole_book_report(model, level, command)
-    if command.action in ("decompose", "simulate"):
-        return _tranche_report(model, level, command)
-    if command.action == "randomize":
-        return _randomize_report(model, level, command)
-    res = solve_with_overhead(model, level, command.max_desks, command.overhead)
-    emp = [None] * res.partition.n_tranches
-    return _partition_report(model, level, res.partition, emp, 0, command.seed)
+        cuts = (0.0, model.max_loss)
+        rows = [TrancheRow(1.0, var_total, None, es_total)]
+    elif command.action == "randomize":
+        n_subs = command.subsidiaries
+        if n_subs is None:
+            n_subs = min_subsidiaries(level)
+        scheme = RandomizedScheme(n_subs, seed=_substream(command.seed, 1))
+        trials = command.trials
+        losses = sample(model, _substream(command.seed, 0), trials)
+        emp = _unit_vars(losses, randomized_assign(scheme, losses), n_subs, level)
+        unit_var = randomized_unit_var(model, n_subs, level)
+        unit_es = randomized_unit_es(model, n_subs, level)
+        activation = (1.0 - cdf(model, 0.0)) / n_subs
+        cuts = ()
+        rows = [TrancheRow(activation, unit_var, e, unit_es) for e in emp]
+    else:
+        if command.action == "solve":
+            partition = solve_with_overhead(
+                model, level, command.max_desks, command.overhead
+            ).partition
+        else:
+            partition = build_partition(model, level, command.tranches)
+        intervals = partition.intervals()
+        emp = [None] * len(intervals)
+        if command.action == "simulate":
+            trials = command.trials
+            book = empirical(sample(model, _substream(command.seed, 0), trials))
+            emp = [var_of_tranche(book, iv, level) for iv in intervals]
+            del book  # the sampled book is freed before any pricing runs
+        dec = decompose(model, partition, level)
+        cuts = partition.cuts
+        rows = [
+            TrancheRow(float(mass), float(v), e, es_of_tranche(model, iv, level))
+            for mass, v, e, iv in zip(dec.masses, dec.tranche_vars, emp, intervals)
+        ]
+    sum_vars = float(sum(row.var_analytic for row in rows))
+    sum_es = float(sum(row.es_analytic for row in rows))
+    return CapitalReport(
+        alpha=level.alpha,
+        model=describe(model),
+        n_units=len(rows),
+        cuts=tuple(float(c) for c in cuts),
+        tranches=tuple(rows),
+        var_total=var_total,
+        es_total=es_total,
+        sum_tranche_vars=sum_vars,
+        sum_tranche_es=sum_es,
+        additivity_gap=sum_vars - var_total,
+        trials=trials,
+        seed=command.seed,
+    )
 
 
 def _to_json(report: CapitalReport) -> str:

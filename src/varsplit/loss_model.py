@@ -191,11 +191,17 @@ class UniformLaw:
         return 0.0 if hi <= lo else (hi - lo) / (self.upper - self.lower)
 
     def unit_var(self, lo: float, hi: float, alpha: float) -> float:
+        """Strict quantile of X * 1{X in [lo, hi)} at level alpha.
+
+        The unit is free when its zero weight ``1 - mass`` passes alpha
+        under :func:`level_weight`, the rule both discrete variants use.
+        """
         if hi <= lo:
             return 0.0
-        width = self.upper - self.lower
-        base = 1.0 - (hi - lo) / width
-        return 0.0 if base > alpha else lo + (alpha - base) * width
+        base = 1.0 - self.mass(lo, hi)
+        if base > level_weight(alpha, 1.0):
+            return 0.0
+        return lo + max(alpha - base, 0.0) * (self.upper - self.lower)
 
     def tail(self, lo: float, hi: float, p: float) -> float:
         if hi <= lo:
@@ -367,12 +373,18 @@ def build_model(spec: dict) -> LossModel:
     ``{"kind": "uniform", "lower": a, "upper": b}``.
     """
     kind = spec.get("kind")
+
+    def entry(key: str):
+        if key not in spec:
+            raise InvalidBounds(f"{kind} model spec is missing {key!r}")
+        return spec[key]
+
     if kind == "atoms":
-        return atoms(spec["values"], spec["probs"])
+        return atoms(entry("values"), entry("probs"))
     if kind == "empirical":
-        return empirical(spec["samples"])
+        return empirical(entry("samples"))
     if kind == "uniform":
-        return uniform(spec["lower"], spec["upper"])
+        return uniform(entry("lower"), entry("upper"))
     raise InvalidBounds(f"unknown model kind: {kind!r}")
 
 
@@ -421,7 +433,7 @@ def mass_in(model: LossModel, iv: Interval) -> float:
 def sample(model: LossModel, seed: int, n: int) -> np.ndarray:
     """Draw ``n`` losses; identical (model, seed, n) gives identical output."""
     if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+        raise InvalidBounds(f"sample size must be >= 1, got {n}")
     return model.law.sample(np.random.default_rng(seed), n)
 
 

@@ -195,8 +195,12 @@ class TestOverheadSchedule:
             OverheadSchedule.table(())
         with pytest.raises(InvalidBounds, match="entries must be finite"):
             OverheadSchedule.table((0.0, -1.0))
-        with pytest.raises(InvalidBounds, match="unknown overhead variant"):
-            OverheadSchedule(variant="cubic")
+        with pytest.raises(InvalidBounds, match="a rate or a table, not both"):
+            OverheadSchedule(rate=1.0, costs=(0.0, 1.0))
+        with pytest.raises(InvalidBounds, match="covers 1..3 units, asked for 0"):
+            OverheadSchedule.table((1.0, 2.0, 3.0)).cost(0)
+        with pytest.raises(InvalidBounds, match="asked for -1"):
+            OverheadSchedule.linear(2.0).cost(-1)
 
     def test_table_must_cover_the_request(self):
         sched = OverheadSchedule.table((0.0, 0.1))

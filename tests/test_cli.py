@@ -172,6 +172,31 @@ class TestReports:
         assert report.model == "empirical:n=40"
         assert report.var_total == 9.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["var", *THREE_ATOMS],
+            ["es", *UNIFORM, "--alpha", "0.9"],
+            ["decompose", *UNIFORM],
+            ["simulate", *THREE_ATOMS, "--alpha", "0.4", "--trials", "1000"],
+            ["solve", "--dist", "atoms:1:0.25,2:0.25,3:0.25,4:0.25", "--alpha", "0.5",
+             "--max-desks", "4"],
+            ["randomize", *THREE_ATOMS, "--trials", "1000"],
+        ],
+    )
+    def test_report_shape(self, argv):
+        """One row per unit; a partition has one more cut than units."""
+        report = run(argv)
+        assert report.n_units == len(report.tranches)
+        if argv[0] == "randomize":
+            assert report.cuts == ()
+        else:
+            assert len(report.cuts) == report.n_units + 1
+        if argv[0] in ("var", "es"):
+            row, = report.tranches
+            assert row.var_analytic == report.var_total
+            assert row.es_analytic == report.es_total
+
     def test_self_consistency(self):
         """Stored aggregates must recompute exactly from the rows."""
         for argv in (

@@ -14,6 +14,7 @@ from varsplit import (
     LossModel,
     NegativeLoss,
     ProbsNotNormalized,
+    VarsplitError,
     atoms,
     build_model,
     cdf,
@@ -111,6 +112,10 @@ class TestConstruction:
         assert e.kind == "empirical"
         with pytest.raises(InvalidBounds, match="unknown model kind"):
             build_model({"kind": "pareto"})
+        with pytest.raises(InvalidBounds, match="atoms model spec is missing 'values'"):
+            build_model({"kind": "atoms"})
+        with pytest.raises(InvalidBounds, match="missing 'upper'"):
+            build_model({"kind": "uniform", "lower": 0.0})
 
     def test_describe_is_deterministic(self):
         assert describe(uniform(0.0, 1.0)) == "uniform:0.0,1.0"
@@ -348,6 +353,8 @@ class TestSampling:
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError, match="must be >= 1"):
             sample(uniform(0.0, 1.0), seed=1, n=0)
+        with pytest.raises(VarsplitError, match="must be >= 1"):
+            sample(atoms([1.0], [1.0]), seed=1, n=0)
 
     def test_seed_changes_stream(self):
         a = sample(uniform(0.0, 1.0), seed=1, n=100)

@@ -150,6 +150,18 @@ class TestVarOfTranche:
     def test_empty_slice(self):
         assert var_of_tranche(A3, Interval(1.0, 2.0), 0.95) == 0.0
 
+    def test_uniform_top_tranche_cut_at_the_quantile_pays_its_lower_edge(self):
+        """Mass 1 - alpha leaves the zeros exactly at alpha: not free, VaR is lo.
+
+        In floats 1 - mass reads 0.5300000000000002, two ulps above alpha and
+        inside the boundary rule's guard, so it does not pass alpha.
+        """
+        model = uniform(4.723405475539687, 5.723405475539687)
+        lo = quantile_strict(model, 0.53)
+        assert lo == 5.2534054755396875
+        iv = Interval(lo, model.upper, closed_hi=True)
+        assert var_of_tranche(model, iv, 0.53) == lo
+
     def test_matches_explicit_tranche_law_atoms(self):
         """Closed form equals VaR of the tranche's own distribution, exactly."""
         middle = atoms([0.0, 5.0], [0.7, 0.3])

@@ -2,9 +2,13 @@
 
 Each public query on a ``uniform`` model is compared, as ``float.hex``
 strings, with the closed form it had before every model held a law (kept
-verbatim in ``helpers``), except that a tranche over the whole support is
-the whole book and reads the whole-book expected shortfall. Bounds and levels are arbitrary floats, not dyadic
-ones, so a reordered or refactored expression that rounds differently fails.
+verbatim in ``helpers``), with two exceptions. A tranche over the whole
+support is the whole book and reads the whole-book expected shortfall. A
+tranche whose zero weight 1 - mass lies in (alpha, alpha + MASS_GUARD] does
+not pass alpha under the package's boundary rule, so its VaR is its lower
+edge, where the old unguarded comparison read 0. Bounds and levels are
+arbitrary floats, not dyadic ones, so a reordered or refactored expression
+that rounds differently fails.
 """
 
 from hypothesis import assume, example, given, settings
@@ -21,6 +25,7 @@ from helpers import (
     uniform_var_of_tranche,
 )
 from varsplit import (
+    MASS_GUARD,
     Interval,
     cdf,
     es_of_tranche,
@@ -60,6 +65,7 @@ def bits(x) -> str:
 @example(2.0, 1.0, 0.95, 1.0, 2.0, False)  # above: starts at the top
 @example(0.1, 0.3, 0.975, -0.2, 1.0, True)  # the whole support, closed
 @example(0.0, 432.8047507412732, 0.6801735741910424, 0.2, 0.7, False)  # p * p != p ** 2
+@example(4.723405475539687, 1.0, 0.53, 0.53, 1.0, True)  # 1 - mass in the guard band
 def test_queries_match_the_closed_forms(lower, width, alpha, t1, t2, closed_hi):
     upper = lower + width
     assume(lower < upper)
@@ -73,10 +79,15 @@ def test_queries_match_the_closed_forms(lower, width, alpha, t1, t2, closed_hi):
         es_want = uniform_expected_shortfall(model, alpha)
     else:
         es_want = uniform_es_of_tranche(model, iv, alpha)
+    # Within the guard band the tranche is not free: its VaR is its lower edge.
+    if alpha < 1.0 - uniform_mass_in(model, iv) <= alpha + MASS_GUARD:
+        var_want = max(lo, lower)
+    else:
+        var_want = uniform_var_of_tranche(model, iv, alpha)
     pairs = [
         (quantile_strict(model, alpha), uniform_quantile_strict(model, alpha)),
         (mass_in(model, iv), uniform_mass_in(model, iv)),
-        (var_of_tranche(model, iv, alpha), uniform_var_of_tranche(model, iv, alpha)),
+        (var_of_tranche(model, iv, alpha), var_want),
         (es_of_tranche(model, iv, alpha), es_want),
         (tail_integral(model, alpha), uniform_tail_integral(model, alpha)),
         (tail_integral(model, 0.0), uniform_tail_integral(model, 0.0)),
