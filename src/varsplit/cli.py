@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -295,7 +295,8 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
 
 
 def _to_json(report: CapitalReport) -> str:
-    return json.dumps(asdict(report), indent=2) + "\n"
+    fields = {**vars(report), "tranches": [vars(row) for row in report.tranches]}
+    return json.dumps(fields, indent=2) + "\n"
 
 
 def _cell(value) -> str:

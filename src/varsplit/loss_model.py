@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, Sequence
@@ -457,9 +458,13 @@ def load_losses_csv(path) -> LossModel:
     decimal per row. Errors name the offending row.
 
     A file whose every row is a plain number is parsed in one pass by
-    ``float`` over its lines; anything else (blank rows, quotes, extra
-    columns, bad values) is read again row by row, and that loop alone
-    accepts the file or raises the error.
+    numpy's chunked C text reader, which converts each field with the
+    routine behind ``float``, so the samples are the same bit for bit.
+    Anything else (blank or quoted rows, underscores, non-ASCII digits or
+    whitespace, extra columns, bad values, or a name ending in a compression
+    suffix) is read again row by row, and that loop alone accepts the file
+    or raises the error. A file that is not a regular one, such as a pipe,
+    is read by the row loop alone.
     """
     path = Path(path)
     try:
@@ -501,31 +506,53 @@ def _read_header(path: Path, fh):
 
 
 def _parse_lines(path: Path) -> np.ndarray | None:
-    """Every body line through ``float`` in one C-level pass.
+    """Every body row through numpy's C text reader in one chunked pass.
 
-    Returns None unless the row loop would accept the file and read the same
-    values: a line that ``float`` parses holds no comma, quote or line break,
-    so it is one csv field whose stripped text gives the same float.
+    Given a path rather than a handle, ``np.loadtxt`` reads the file in C
+    and converts each field with ``PyOS_string_to_double``, as ``float``
+    does after stripping whitespace. Returns None unless the row loop would
+    accept the file and read the same values: every row is one ASCII field
+    that both parse alike (quotes, underscores, non-ASCII text and
+    whitespace-only rows make the reader raise), and no row exceeds the csv
+    field size limit. A name ending in ``.gz``, ``.bz2``, ``.xz`` or
+    ``.lzma`` makes numpy open the file through a decompressor, which fails
+    on text (an archive never passes the header check). Any exception or
+    warning from the reader means the row loop decides.
+
+    The header and the body are read on separate opens, so only a regular
+    file is read here: a pipe gives its bytes once, and the row loop reads
+    it on one handle.
     """
+    if not path.is_file():
+        return None
     with path.open(encoding="utf-8", newline="") as fh:
         _read_header(path, fh)
-        try:
-            losses = np.fromiter(map(float, fh), float)
-        except ValueError:
-            return None
-    if losses.size and np.isfinite(losses).all() and not (losses < 0.0).any():
-        if _fields_fit(path):
-            return losses
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            losses = np.loadtxt(
+                path, float, delimiter=",", comments=None,
+                skiprows=1, encoding="utf-8", ndmin=2,
+            )
+    except Exception:
+        return None
+    if losses.shape[1] == 1 and losses.size and np.isfinite(losses).all():
+        if not (losses < 0.0).any() and _fields_fit(path):
+            return losses.reshape(-1)
     return None
 
 
 def _fields_fit(path: Path) -> bool:
     """Whether every line is shorter than the csv field size limit.
 
-    A run of bytes without a line break that reaches the limit covers a whole
-    aligned block of half the limit, so it suffices that each block holds one.
+    A file smaller than the limit holds no such line. Otherwise a run of
+    bytes without a line break that reaches the limit covers a whole aligned
+    block of half the limit, so it suffices that each block holds one.
     """
-    step = max(csv.field_size_limit() // 2, 1)
+    limit = csv.field_size_limit()
+    if path.stat().st_size < limit:
+        return True
+    step = max(limit // 2, 1)
     with path.open("rb") as fh:
         return all(
             len(block) < step or b"\n" in block or b"\r" in block

@@ -1,13 +1,18 @@
-"""CSV ingest: the one-pass line parser agrees with the row-by-row reader.
+"""CSV ingest: the one-pass C reader agrees with the row-by-row reader.
 
-``load_losses_csv`` parses a clean book with one ``float`` call per line and
+``load_losses_csv`` parses a clean book with numpy's chunked text reader and
 reads anything else again record by record. These tests hold it to
 ``helpers.csv_rows_oracle`` (same samples bit for bit, or the same error
 type and message), and bound its memory by the row count.
 """
 
+import bz2
 import csv
+import gzip
+import lzma
+import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -76,6 +81,16 @@ def books(draw):
 @example(header="loss", rows=[('"1\n2"', "\n")], trailing=True, lead=0)
 @example(header="loss", rows=[("0" * (csv.field_size_limit() + 1), "\n")], trailing=True, lead=0)
 @example(header="loss", rows=[], trailing=True, lead=0)
+@example(header="\ufeffloss", rows=[], trailing=False, lead=0)
+@example(header="loss", rows=[("1,2", "\n")], trailing=False, lead=0)
+@example(header="loss", rows=[("1", "\r"), ("", "\r"), ("2", "\r")], trailing=False, lead=0)
+@example(
+    header="loss",
+    rows=[("1.2345678901234567e-05", "\n"), ("9.876543210987654e+299", "\r\n"),
+          ("4.9406564584124654e-324", "\n"), ("0.30000000000000004", "\n")],
+    trailing=True,
+    lead=0,
+)
 def test_load_matches_row_oracle(header, rows, trailing, lead):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "book.csv"
@@ -84,15 +99,88 @@ def test_load_matches_row_oracle(header, rows, trailing, lead):
 
 
 def test_plain_book_skips_the_row_loop(tmp_path, monkeypatch):
-    """A book of plain numbers is read by the line parser alone."""
+    """A book of plain numbers is read by the C reader alone."""
 
     def fail(path):
         raise AssertionError("row loop used")
 
     path = tmp_path / "book.csv"
-    write_book(path, "loss", [("3.5", "\r\n"), ("1_000", "\r\n"), ("-0.0", "\r\n")], True)
+    write_book(path, "loss", [("3.5", "\r\n"), ("-0.0", "\r\n")], True)
     monkeypatch.setattr(loss_model, "_parse_rows", fail)
-    assert list(load_losses_csv(path).samples) == [0.0, 3.5, 1000.0]
+    assert list(load_losses_csv(path).samples) == [0.0, 3.5]
+
+
+def test_underscore_book_goes_through_the_row_loop(tmp_path, monkeypatch):
+    """numpy's reader rejects ``1_000``; the row loop reads it as ``float`` does."""
+    calls = []
+    row_loop = loss_model._parse_rows
+
+    def counted(path):
+        calls.append(path)
+        return row_loop(path)
+
+    path = tmp_path / "book.csv"
+    write_book(path, "loss", [("3.5", "\n"), ("1_000", "\n"), ("2", "\n")], True)
+    monkeypatch.setattr(loss_model, "_parse_rows", counted)
+    assert list(load_losses_csv(path).samples) == [2.0, 3.5, 1000.0]
+    assert calls == [path]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compression_suffix_is_only_a_name(tmp_path, suffix):
+    """numpy opens such a name through a decompressor, which fails on a plain
+    book, so the row loop reads it; a real archive fails the header check."""
+    text = "loss\n2.5\n0.1\n7\n"
+    plain = tmp_path / "book.csv"
+    plain.write_text(text)
+    named = tmp_path / f"book.csv{suffix}"
+    named.write_text(text)
+    expected = load_losses_csv(plain).samples.tobytes()
+    assert outcome(load_losses_csv, named) == expected
+    assert outcome(csv_rows_oracle, named) == expected
+
+    pack = {".gz": gzip.compress, ".bz2": bz2.compress}.get(suffix, lzma.compress)
+    named.write_bytes(pack(text.encode()))
+    with pytest.raises(CsvFormatError):
+        load_losses_csv(named)
+
+
+@pytest.mark.parametrize("rows", [3, 20_000])
+def test_piped_book_loads_every_row(tmp_path, rows):
+    """A book read from ``/dev/fd/N`` of a pipe, one small and one larger
+    than the pipe buffer, gives the samples of the same book in a file."""
+    text = "loss\n" + "".join(f"{k % 997}.{k % 100:02d}\n" for k in range(rows))
+    plain = tmp_path / "book.csv"
+    plain.write_text(text)
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(text.encode())
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        got = outcome(load_losses_csv, Path(f"/dev/fd/{read_fd}"))
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == load_losses_csv(plain).samples.tobytes()
+
+
+def test_header_only_book_prints_one_error_line(tmp_path, capsys, recwarn):
+    """numpy's "input contained no data" warning never reaches the user."""
+    path = tmp_path / "empty.csv"
+    path.write_text("loss\n")
+    assert main(["var", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: no loss rows found\n"
+    assert [str(w.message) for w in recwarn] == []
 
 
 @pytest.mark.parametrize("lead", [0, 20_000])
