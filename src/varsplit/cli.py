@@ -4,14 +4,25 @@ Every report uses the same schema regardless of subcommand, so downstream
 tooling can treat all outputs alike. Analytic quantities come from the
 library; empirical per-unit quantiles come from seeded Monte Carlo and are
 reproducible byte for byte for a fixed command line.
+
+The ``varsplit`` console script and ``python -m varsplit.cli`` both go
+through :func:`run`. It freezes the objects that exist once the imports are
+done (modules, functions, numpy's internals), so the garbage collector's
+final passes at interpreter exit skip them, then runs :func:`main`. ``main``
+itself leaves the collector alone: tests and library callers run it in
+their own process, where frozen objects would stay out of collection for
+the rest of that process. ``run`` also flushes stdout itself, so a reader
+that closes the pipe early gives exit status 1 and one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -375,5 +386,36 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """Process entry point: freeze the import-time objects, then run :func:`main`.
+
+    Called once per process, by the ``varsplit`` console script and by
+    ``python -m varsplit.cli``. The frozen objects live until exit anyway;
+    without the freeze, the collector's passes over them at exit cost about
+    40 ms of a cold command. Objects the command creates are still
+    collected, and every normal exit step (atexit handlers, the final stdio
+    flush, module teardown) still runs. :func:`main` does not freeze, so an
+    in-process caller keeps its own collector as it was.
+
+    Stdout is flushed here, inside the error handling. If the reader has
+    closed the pipe, stdout is pointed at ``os.devnull`` so the flush at
+    exit cannot fail again, and the exit status is 1 with one ``error:``
+    line.
+    """
+    gc.freeze()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: a usage error or --help
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

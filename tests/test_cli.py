@@ -1,5 +1,6 @@
 """End-to-end tests for the command line: parsing, reports, serialization."""
 
+import gc
 import json
 import os
 import subprocess
@@ -341,14 +342,109 @@ class TestMain:
 
     def test_module_entry_point_is_quiet(self):
         """``python -m varsplit.cli`` runs one copy of the module: no warning."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "varsplit.cli", "var", "--dist", "atoms:1:1"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=60,
-        )
+        proc = _run_module(["var", "--dist", "atoms:1:1"])
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+
+def _child_env(**overrides):
+    """This process's environment with ``src`` on PYTHONPATH; None unsets."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, **overrides}
+    return {key: value for key, value in env.items() if value is not None}
+
+
+def _run_module(argv, stdout=subprocess.PIPE, **env):
+    return subprocess.run(
+        [sys.executable, "-m", "varsplit.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=_child_env(**env), timeout=60,
+    )
+
+
+class TestEntryPoint:
+    """``run`` freezes the import-time objects; ``main`` never touches the GC."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["var", *UNIFORM],
+            ["var", "--input", "/no/such/file.csv"],
+            ["var", *UNIFORM, "--alpha", "2"],
+        ],
+    )
+    def test_main_freezes_nothing(self, argv):
+        assert gc.get_freeze_count() == 0
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert gc.get_freeze_count() == 0
+
+    def test_module_entry_freezes_the_imports(self):
+        """At exit, the objects frozen by ``python -m varsplit.cli`` remain."""
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            "sys.argv = ['varsplit', 'var', '--dist', 'atoms:1:1']\n"
+            "runpy.run_module('varsplit.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert proc.returncode == 0
+        assert int(proc.stderr) > 1000
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", *THREE_ATOMS, "--alpha", "0.95", "--max-desks", "2"], 0),
+            (["var", "--input", "/no/such/file.csv"], 1),
+            (["var", "--dist", "atoms:1:1", "--alpha", "2"], 2),
+        ],
+    )
+    def test_module_entry_matches_main(self, argv, code, capsys):
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        in_process = capsys.readouterr()
+        proc = _run_module(argv)
+        assert got == proc.returncode == code
+        assert (proc.stdout, proc.stderr) == (in_process.out, in_process.err)
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["var", "--dist", "atoms:1:1"], ["decompose", *UNIFORM, "--tranches", "2000"]],
+    )
+    def test_closed_stdout_is_one_error_line(self, argv, unbuffered):
+        """A reader that closed the pipe early: exit 1, one ``error:`` line.
+
+        Buffered stdout fails only at the last flush and unbuffered stdout
+        at the write, so both are run whatever the caller's environment.
+        """
+        proc = _run_into_closed_pipe(argv, unbuffered)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+
+    def test_closed_stdout_after_help(self):
+        """``--help`` exits through SystemExit and still reports the pipe.
+
+        Only buffered stdout is run: argparse ignores a failed write of its
+        own, so unbuffered ``--help`` has nothing left to fail.
+        """
+        proc = _run_into_closed_pipe(["--help"], None)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+def _run_into_closed_pipe(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _run_module(argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
