@@ -392,7 +392,7 @@ def run() -> int:
     Called once per process, by the ``varsplit`` console script and by
     ``python -m varsplit.cli``. The frozen objects live until exit anyway;
     without the freeze, the collector's passes over them at exit cost about
-    40 ms of a cold command. Objects the command creates are still
+    35 ms of a cold command. Objects the command creates are still
     collected, and every normal exit step (atexit handlers, the final stdio
     flush, module teardown) still runs. :func:`main` does not freeze, so an
     in-process caller keeps its own collector as it was.
