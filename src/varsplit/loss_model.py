@@ -4,17 +4,18 @@ Three model variants cover everything the rest of the package needs:
 
 * ``atoms``: a finite discrete law given by strictly increasing values and
   strictly positive probabilities,
-* ``empirical``: equally weighted observations, kept sorted,
+* ``empirical``: equally weighted observations, kept as their distinct
+  values and counts, so a model holds O(distinct values), not the sample,
 * ``uniform``: a flat density on ``[lower, upper]``.
 
 All losses live on ``[0, max_loss]``. Quantiles follow the strict-inequality
 convention ``inf {x : P(X <= x) > p}``, which is what makes mass-starved
 tranches carry a quantile of exactly zero.
 
-Every model holds a law, a :class:`DiscreteLaw` or a :class:`UniformLaw`,
-and each public query below is one call to it. Every comparison of a prefix
-weight with a level goes through :func:`level_weight`, so both discrete
-variants decide boundary cases alike.
+Every model is a law (a :class:`DiscreteLaw` or a :class:`UniformLaw`) and
+a report label; each public query below is one call to the law. Every
+comparison of a prefix weight with a level goes through :func:`level_weight`,
+so both discrete variants decide boundary cases alike.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,8 +47,6 @@ PROB_TOL = 1e-12
 #: this margin puts exact ties, such as a cumulative mass of exactly 0.95 at
 #: level 0.95, on the side the strict inequality puts them.
 MASS_GUARD = 1e-12
-
-ModelKind = Literal["atoms", "empirical", "uniform"]
 
 
 def _readonly(values) -> np.ndarray:
@@ -126,6 +125,11 @@ class DiscreteLaw:
     def lower(self) -> float:
         """inf {x : cdf(x) > 0}, the bottom of the support."""
         return float(self.values[0])
+
+    @property
+    def upper(self) -> float:
+        """The top of the support."""
+        return float(self.values[-1])
 
     def span(self, iv: Interval) -> tuple[int, int]:
         """Index range ``[a, b)`` of the values inside ``iv``."""
@@ -245,125 +249,111 @@ def intervals_from_cuts(cuts: Sequence[float]) -> list[Interval]:
 
 @dataclass(frozen=True, eq=False)
 class LossModel:
-    """A bounded loss distribution on ``[0, max_loss]``.
+    """A bounded loss distribution on ``[0, max_loss]``: its law and its label.
 
     Instances are immutable and should be built through :func:`atoms`,
-    :func:`empirical`, :func:`uniform` or :func:`build_model`; the constructor
-    validates but does not normalize its inputs.
+    :func:`empirical`, :func:`uniform` or :func:`build_model`, which validate
+    their input; ``label`` is the descriptor :func:`describe` returns.
     """
 
-    kind: ModelKind
-    values: np.ndarray | None = None
-    probs: np.ndarray | None = None
-    samples: np.ndarray | None = None
-    lower: float = 0.0
-    upper: float = 0.0
-    max_loss: float = field(init=False, default=0.0)
     #: The law every query delegates to; a :class:`DiscreteLaw` unless uniform.
-    law: DiscreteLaw | UniformLaw = field(init=False, repr=False)
+    law: DiscreteLaw | UniformLaw
+    label: str
 
-    def __post_init__(self):
-        if self.kind == "atoms":
-            self._init_atoms()
-        elif self.kind == "empirical":
-            self._init_empirical()
-        elif self.kind == "uniform":
-            self._init_uniform()
-        else:
-            raise InvalidBounds(f"unknown model kind: {self.kind!r}")
+    @property
+    def max_loss(self) -> float:
+        return self.law.upper
 
-    def _init_atoms(self):
-        if self.values is None or self.probs is None:
-            raise EmptySupport("atoms model needs values and probs")
-        values = np.asarray(self.values, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if values.size == 0:
-            raise EmptySupport("atoms model needs at least one support point")
-        if values.shape != probs.shape:
-            raise InvalidBounds(
-                f"values and probs must align, got {values.size} vs {probs.size}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidBounds("atom values must be finite")
-        if np.any(values < 0.0):
-            raise NegativeLoss(f"atom values must be >= 0, got min {values.min()}")
-        if values.size > 1 and not np.all(np.diff(values) > 0.0):
-            raise InvalidBounds("atom values must be strictly increasing")
-        if not np.all(np.isfinite(probs)) or np.any(probs <= 0.0):
-            raise ProbsNotNormalized("atom probabilities must be strictly positive")
-        total = float(np.sum(probs))
-        if abs(total - 1.0) > PROB_TOL:
-            raise ProbsNotNormalized(
-                f"atom probabilities must sum to 1 within {PROB_TOL}, got {total!r}"
-            )
-        object.__setattr__(self, "law", DiscreteLaw.of(values, probs, 1.0))
-        object.__setattr__(self, "max_loss", float(values[-1]))
+    # Read-only views that only perfbench/tracing.py reads, until the package traces itself.
+    @property
+    def kind(self) -> str:
+        return self.label.partition(":")[0]
 
-    def _init_empirical(self):
-        if self.samples is None:
-            raise EmptySupport("empirical model needs samples")
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.size == 0:
-            raise EmptySupport("empirical model needs at least one sample")
-        if not np.all(np.isfinite(samples)):
-            raise InvalidBounds("samples must be finite")
-        if np.any(samples < 0.0):
-            raise NegativeLoss(f"samples must be >= 0, got min {samples.min()}")
-        if np.any(samples[1:] < samples[:-1]):
-            raise InvalidBounds("samples must be sorted nondecreasing")
-        # cum[k] counts the samples below the k-th distinct value, so it is
-        # the start index of that value's run; weights are the run lengths.
-        fresh = samples[1:] != samples[:-1]
-        if fresh.all():
-            values, cum = samples.view(), np.arange(samples.size + 1.0)
-        else:
-            starts = np.flatnonzero(fresh)
-            del fresh
-            starts += 1
-            values = np.empty(starts.size + 1)
-            values[0] = samples[0]
-            np.take(samples, starts, out=values[1:])
-            cum = np.concatenate(([0.0], starts, [samples.size]))
-            del starts
-        law = DiscreteLaw(values, np.diff(cum), cum, float(samples.size))
-        for arr in (law.values, law.weights, law.cum):
-            arr.flags.writeable = False
-        object.__setattr__(self, "law", law)
-        object.__setattr__(self, "max_loss", float(samples[-1]))
+    @property
+    def values(self) -> np.ndarray:
+        return self.law.values
 
-    def _init_uniform(self):
-        lo, hi = float(self.lower), float(self.upper)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidBounds("uniform bounds must be finite")
-        if lo < 0.0:
-            raise NegativeLoss(f"uniform lower bound must be >= 0, got {lo}")
-        if not lo < hi:
-            raise InvalidBounds(f"uniform needs lower < upper, got [{lo}, {hi}]")
-        object.__setattr__(self, "law", UniformLaw(lo, hi))
-        object.__setattr__(self, "max_loss", hi)
+    @property
+    def samples(self) -> np.ndarray:
+        return np.repeat(self.law.values, self.law.weights.astype(np.intp))
 
 
 def atoms(values: Sequence[float], probs: Sequence[float]) -> LossModel:
     """Discrete loss law on strictly increasing nonnegative values."""
-    return LossModel(kind="atoms", values=_readonly(values), probs=_readonly(probs))
+    values, probs = _readonly(values), _readonly(probs)
+    if values.ndim != 1 or probs.ndim != 1:
+        raise InvalidBounds(f"atom values and probs must be 1-D, got {values.shape}, {probs.shape}")
+    if values.size == 0:
+        raise EmptySupport("atoms model needs at least one support point")
+    if values.shape != probs.shape:
+        raise InvalidBounds(
+            f"values and probs must align, got {values.size} vs {probs.size}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise InvalidBounds("atom values must be finite")
+    if np.any(values < 0.0):
+        raise NegativeLoss(f"atom values must be >= 0, got min {values.min()}")
+    if values.size > 1 and not np.all(np.diff(values) > 0.0):
+        raise InvalidBounds("atom values must be strictly increasing")
+    if not np.all(np.isfinite(probs)) or np.any(probs <= 0.0):
+        raise ProbsNotNormalized("atom probabilities must be strictly positive")
+    total = float(np.sum(probs))
+    if abs(total - 1.0) > PROB_TOL:
+        raise ProbsNotNormalized(
+            f"atom probabilities must sum to 1 within {PROB_TOL}, got {total!r}"
+        )
+    pairs = ",".join(f"{v}:{p}" for v, p in zip(values.tolist(), probs.tolist()))
+    return LossModel(DiscreteLaw.of(values, probs, 1.0), f"atoms:{pairs}")
 
 
 def empirical(samples: Sequence[float]) -> LossModel:
-    """Equally weighted observations; stored sorted, with -0.0 as +0.0."""
+    """Equally weighted observations; -0.0 counts as +0.0."""
     return _empirical_owned(np.array(samples, dtype=float))
 
 
-def _empirical_owned(arr: np.ndarray) -> LossModel:
+def _empirical_owned(samples: np.ndarray) -> LossModel:
     """:func:`empirical` on a float array the caller hands over; sorts it in place."""
-    arr.sort()
-    arr += 0.0
-    arr.flags.writeable = False
-    return LossModel(kind="empirical", samples=arr)
+    if samples.ndim != 1:
+        raise InvalidBounds(f"samples must be 1-D, got shape {samples.shape}")
+    if samples.size == 0:
+        raise EmptySupport("empirical model needs at least one sample")
+    samples.sort()
+    samples += 0.0
+    samples.flags.writeable = False
+    if not np.all(np.isfinite(samples)):
+        raise InvalidBounds("samples must be finite")
+    if np.any(samples < 0.0):
+        raise NegativeLoss(f"samples must be >= 0, got min {samples.min()}")
+    # cum[k] counts the samples below the k-th distinct value, so it is
+    # the start index of that value's run; weights are the run lengths.
+    fresh = samples[1:] != samples[:-1]
+    if fresh.all():
+        values, cum = samples.view(), np.arange(samples.size + 1.0)
+    else:
+        starts = np.flatnonzero(fresh)
+        del fresh
+        starts += 1
+        values = np.empty(starts.size + 1)
+        values[0] = samples[0]
+        np.take(samples, starts, out=values[1:])
+        cum = np.concatenate(([0.0], starts, [samples.size]))
+        del starts
+    law = DiscreteLaw(values, np.diff(cum), cum, float(samples.size))
+    for arr in (law.values, law.weights, law.cum):
+        arr.flags.writeable = False
+    return LossModel(law, f"empirical:n={samples.size}")
 
 
 def uniform(lower: float, upper: float) -> LossModel:
     """Flat density on ``[lower, upper]`` with ``0 <= lower < upper``."""
-    return LossModel(kind="uniform", lower=float(lower) + 0.0, upper=float(upper) + 0.0)
+    lo, hi = float(lower) + 0.0, float(upper) + 0.0
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidBounds("uniform bounds must be finite")
+    if lo < 0.0:
+        raise NegativeLoss(f"uniform lower bound must be >= 0, got {lo}")
+    if not lo < hi:
+        raise InvalidBounds(f"uniform needs lower < upper, got [{lo}, {hi}]")
+    return LossModel(UniformLaw(lo, hi), f"uniform:{lo},{hi}")
 
 
 def build_model(spec: dict) -> LossModel:
@@ -391,14 +381,7 @@ def build_model(spec: dict) -> LossModel:
 
 def describe(model: LossModel) -> str:
     """Short deterministic descriptor used in reports."""
-    if model.kind == "atoms":
-        pairs = ",".join(
-            f"{float(v)}:{float(p)}" for v, p in zip(model.values, model.probs)
-        )
-        return f"atoms:{pairs}"
-    if model.kind == "empirical":
-        return f"empirical:n={model.samples.size}"
-    return f"uniform:{model.lower},{model.upper}"
+    return model.label
 
 
 def cdf(model: LossModel, x: float) -> float:

@@ -11,7 +11,8 @@ solver-agreement suites assert exact equality instead of tolerances.
 the dynamic program against, ``reference_solve`` the exact-r suffix table the
 vectorized solver must match bit for bit, ``csv_rows_oracle`` the
 row-by-row CSV reader the ingest suite checks ``load_losses_csv`` against,
-and the ``uniform_*`` functions the closed forms the uniform law must
+``sorted_sample`` the sample an empirical model's law counts, and the
+``uniform_*`` functions the closed forms the uniform law must
 reproduce bit for bit.
 """
 
@@ -53,6 +54,11 @@ def dyadic_weights(rng: np.random.Generator, k: int) -> np.ndarray:
     """
     counts = rng.multinomial(8192 - k, np.full(k, 1.0 / k)) + 1
     return counts / 8192.0
+
+
+def sorted_sample(model: LossModel) -> np.ndarray:
+    """The sorted sample whose distinct values and counts are ``model.law``."""
+    return np.repeat(model.law.values, model.law.weights.astype(int))
 
 
 def grid_uniform_samples(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -278,51 +284,51 @@ def reference_solve(
 
 
 # The closed forms of a uniform model as they stood before the model held a
-# law, each body kept verbatim (model.lower and model.upper are the bounds);
+# law, each body kept verbatim except that it reads the bounds from model.law;
 # the level checks that ran before them are left to the callers.
 
 
 def uniform_cdf(model: LossModel, x: float) -> float:
     x = float(x)
-    if x < model.lower:
+    if x < model.law.lower:
         return 0.0
-    if x >= model.upper:
+    if x >= model.law.upper:
         return 1.0
-    return (x - model.lower) / (model.upper - model.lower)
+    return (x - model.law.lower) / (model.law.upper - model.law.lower)
 
 
 def uniform_quantile_strict(model: LossModel, p: float) -> float:
-    return model.lower + p * (model.upper - model.lower)
+    return model.law.lower + p * (model.law.upper - model.law.lower)
 
 
 def uniform_mass_in(model: LossModel, iv) -> float:
-    lo = max(iv.lo, model.lower)
-    hi = min(iv.hi, model.upper)
+    lo = max(iv.lo, model.law.lower)
+    hi = min(iv.hi, model.law.upper)
     if hi <= lo:
         return 0.0
-    return (hi - lo) / (model.upper - model.lower)
+    return (hi - lo) / (model.law.upper - model.law.lower)
 
 
 def uniform_sample(model: LossModel, seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return rng.uniform(model.lower, model.upper, size=n)
+    return rng.uniform(model.law.lower, model.law.upper, size=n)
 
 
 def uniform_tail_integral(model: LossModel, p: float) -> float:
-    a, b = model.lower, model.upper
+    a, b = model.law.lower, model.law.upper
     return a * (1.0 - p) + (b - a) * (1.0 - p * p) / 2.0
 
 
 def uniform_expected_shortfall(model: LossModel, alpha: float) -> float:
-    return model.lower + (model.upper - model.lower) * (1.0 + alpha) / 2.0
+    return model.law.lower + (model.law.upper - model.law.lower) * (1.0 + alpha) / 2.0
 
 
 def uniform_var_of_tranche(model: LossModel, iv, alpha: float) -> float:
-    lo = max(iv.lo, model.lower)
-    hi = min(iv.hi, model.upper)
+    lo = max(iv.lo, model.law.lower)
+    hi = min(iv.hi, model.law.upper)
     if hi <= lo:
         return 0.0
-    width = model.upper - model.lower
+    width = model.law.upper - model.law.lower
     q = (hi - lo) / width
     base = 1.0 - q
     if base > alpha:
@@ -331,11 +337,11 @@ def uniform_var_of_tranche(model: LossModel, iv, alpha: float) -> float:
 
 
 def uniform_es_of_tranche(model: LossModel, iv, alpha: float) -> float:
-    lo = max(iv.lo, model.lower)
-    hi = min(iv.hi, model.upper)
+    lo = max(iv.lo, model.law.lower)
+    hi = min(iv.hi, model.law.upper)
     if hi <= lo:
         return 0.0
-    width = model.upper - model.lower
+    width = model.law.upper - model.law.lower
     q = (hi - lo) / width
     base = 1.0 - q
     u0 = max(alpha, base)

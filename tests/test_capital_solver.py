@@ -20,6 +20,7 @@ from varsplit import (
     TooManyAtoms,
     atoms,
     decompose,
+    distinct_atoms,
     empirical,
     solve_tranche_dp,
     solve_with_overhead,
@@ -118,8 +119,8 @@ class TestSolveTrancheDp:
         rng = np.random.default_rng(603)
         for _ in range(10):
             model = random_dyadic_atoms(rng)
-            counts = np.round(model.probs * 256).astype(int)
-            samples = np.repeat(model.values, counts)
+            values, probs = distinct_atoms(model)
+            samples = np.repeat(values, np.round(probs * 256).astype(int))
             emp = empirical(samples)
             for n in (1, 2, 3):
                 a = solve_tranche_dp(model, 0.95, n).capital
@@ -330,7 +331,7 @@ def test_the_pass_stops_early(monkeypatch, model, alpha, rows, capital):
         return caps, marks, step
 
     monkeypatch.setattr(capital_solver, "_dp_rows", spy)
-    res = solve_tranche_dp(model, alpha, model.values.size)
+    res = solve_tranche_dp(model, alpha, model.law.values.size)
     assert (res.capital, res.best_n, seen) == (capital, rows, [rows])
 
 

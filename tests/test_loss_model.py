@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import sorted_sample
 from varsplit import (
     EmptySupport,
     Interval,
     InvalidBounds,
     InvalidLevel,
     CsvFormatError,
-    LossModel,
     NegativeLoss,
     ProbsNotNormalized,
     VarsplitError,
@@ -29,12 +29,13 @@ from varsplit import (
     sample,
     uniform,
 )
+from varsplit.loss_model import UniformLaw, _empirical_owned
 
 
 class TestConstruction:
     def test_uniform_max_loss(self):
         model = uniform(0.0, 1.0)
-        assert model.kind == "uniform"
+        assert isinstance(model.law, UniformLaw)
         assert model.max_loss == 1.0
 
     def test_atoms_max_loss(self):
@@ -76,22 +77,20 @@ class TestConstruction:
     @pytest.mark.parametrize(
         ("build", "error", "match"),
         [
-            (lambda: LossModel(kind="pareto"), InvalidBounds, "unknown model kind"),
-            (lambda: LossModel(kind="atoms"), EmptySupport, "needs values and probs"),
-            (lambda: LossModel(kind="empirical"), EmptySupport, "needs samples"),
-            (
-                lambda: LossModel(kind="atoms", values=[1.0, 2.0], probs=[1.0]),
-                InvalidBounds,
-                "must align",
-            ),
+            (lambda: build_model({"kind": "pareto"}), InvalidBounds, "unknown model kind"),
+            (lambda: atoms([1.0, 2.0], [1.0]), InvalidBounds, "must align"),
             (lambda: atoms([1.0, np.inf], [0.5, 0.5]), InvalidBounds, "must be finite"),
             (lambda: empirical([1.0, np.nan]), InvalidBounds, "must be finite"),
-            (
-                lambda: LossModel(kind="empirical", samples=np.array([2.0, 1.0])),
-                InvalidBounds,
-                "sorted nondecreasing",
-            ),
             (lambda: uniform(0.0, np.inf), InvalidBounds, "must be finite"),
+            # Input that is not one-dimensional is rejected before any other check.
+            (lambda: empirical(np.array([[1.0], [2.0], [2.0]])), InvalidBounds, "must be 1-D"),
+            (
+                lambda: atoms(np.array([[1.0], [2.0]]), np.array([[0.5], [0.5]])),
+                InvalidBounds,
+                "must be 1-D",
+            ),
+            (lambda: empirical(np.array([[3.0], [1.0], [2.0]])), InvalidBounds, "must be 1-D"),
+            (lambda: empirical(5.0), InvalidBounds, "must be 1-D"),
         ],
     )
     def test_constructor_validation(self, build, error, match):
@@ -100,18 +99,16 @@ class TestConstruction:
 
     def test_empirical_sorts_samples(self):
         model = empirical([3.0, 1.0, 2.0])
-        assert list(model.samples) == [1.0, 2.0, 3.0]
+        assert list(sorted_sample(model)) == [1.0, 2.0, 3.0]
         assert model.max_loss == 3.0
 
     def test_build_model_dispatch(self):
         u = build_model({"kind": "uniform", "lower": 0.0, "upper": 2.0})
-        assert u.kind == "uniform" and u.max_loss == 2.0
+        assert describe(u) == "uniform:0.0,2.0" and u.max_loss == 2.0
         a = build_model({"kind": "atoms", "values": [1.0], "probs": [1.0]})
-        assert a.kind == "atoms"
+        assert describe(a) == "atoms:1.0:1.0"
         e = build_model({"kind": "empirical", "samples": [1.0, 4.0]})
-        assert e.kind == "empirical"
-        with pytest.raises(InvalidBounds, match="unknown model kind"):
-            build_model({"kind": "pareto"})
+        assert describe(e) == "empirical:n=2"
         with pytest.raises(InvalidBounds, match="atoms model spec is missing 'values'"):
             build_model({"kind": "atoms"})
         with pytest.raises(InvalidBounds, match="missing 'upper'"):
@@ -132,7 +129,8 @@ class TestNegativeZero:
             empirical([1.0, -0.0, 0.0]),
             uniform(-0.0, 1.0),
         ):
-            stored = [model.lower] if model.kind == "uniform" else model.law.values
+            law = model.law
+            stored = [law.lower] if isinstance(law, UniformLaw) else law.values
             assert not np.signbit(stored).any()
             assert "-0.0" not in describe(model)
 
@@ -172,8 +170,8 @@ class TestEmpiricalLaw:
         """10^6 distinct floats: no copy of the sample beyond the sort."""
         x = np.random.default_rng(4).random(10**6)
         sorted_x = np.sort(x)
-        model, peak = self.peak(lambda: LossModel(kind="empirical", samples=sorted_x))
-        assert peak <= 32 * 2**20, f"LossModel peaked at {peak / 2**20:.1f} MB"
+        model, peak = self.peak(lambda: _empirical_owned(sorted_x))
+        assert peak <= 32 * 2**20, f"_empirical_owned peaked at {peak / 2**20:.1f} MB"
         assert np.shares_memory(model.law.values, sorted_x)
         for got, want in zip(
             (model.law.values, model.law.weights, model.law.cum), self.reference(sorted_x)
@@ -181,6 +179,21 @@ class TestEmpiricalLaw:
             assert got.tobytes() == want.tobytes()
         model, peak = self.peak(lambda: empirical(x))
         assert peak <= 48 * 2**20, f"empirical peaked at {peak / 2**20:.1f} MB"
+
+    def test_model_keeps_only_the_law(self):
+        """4000 distinct values, 100 copies each: the model holds the 4000-value
+        law, not the 3.2 MB sample."""
+        x = np.repeat(np.arange(4000.0), 100)
+        np.random.default_rng(5).shuffle(x)
+        tracemalloc.start()
+        try:
+            model = empirical(x)
+            del x
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.5 * 2**20, f"the model keeps {kept / 2**20:.2f} MB"
+        assert describe(model) == "empirical:n=400000"
 
 
 class TestCdf:
@@ -400,8 +413,8 @@ class TestCsvIngestion:
     def test_round_trip(self, tmp_path):
         path = self._write(tmp_path, "loss\n3.5\n1.25\n0\n")
         model = load_losses_csv(path)
-        assert model.kind == "empirical"
-        assert list(model.samples) == [0.0, 1.25, 3.5]
+        assert describe(model) == "empirical:n=3"
+        assert list(sorted_sample(model)) == [0.0, 1.25, 3.5]
 
     def test_header_required(self, tmp_path):
         path = self._write(tmp_path, "value\n1.0\n")

@@ -15,6 +15,7 @@ from varsplit import (
     as_level,
     atoms,
     build_partition,
+    distinct_atoms,
     empirical,
     es_of_tranche,
     expected_shortfall,
@@ -75,11 +76,13 @@ class TestVar:
         """Scaling the support scales VaR exactly, atom by atom."""
         rng = np.random.default_rng(405)
         model = random_dyadic_atoms(rng)
-        emp = empirical(integer_samples(rng, 300))
+        values, probs = distinct_atoms(model)
+        samples = integer_samples(rng, 300)
+        emp = empirical(samples)
         for c in (0.5, 2.0, 3.0):
-            scaled = atoms(c * model.values, model.probs)
+            scaled = atoms(c * values, probs)
             assert var(scaled, 0.95) == c * var(model, 0.95)
-            scaled_emp = empirical(c * emp.samples)
+            scaled_emp = empirical(c * samples)
             assert var(scaled_emp, 0.95) == c * var(emp, 0.95)
 
     def test_comonotonic_additivity_exact(self):
@@ -159,7 +162,7 @@ class TestVarOfTranche:
         model = uniform(4.723405475539687, 5.723405475539687)
         lo = quantile_strict(model, 0.53)
         assert lo == 5.2534054755396875
-        iv = Interval(lo, model.upper, closed_hi=True)
+        iv = Interval(lo, model.max_loss, closed_hi=True)
         assert var_of_tranche(model, iv, 0.53) == lo
 
     def test_matches_explicit_tranche_law_atoms(self):
@@ -187,11 +190,12 @@ class TestVarOfTranche:
             model = random_dyadic_atoms(rng)
             lo, hi = np.sort(rng.uniform(0.0, 100.0, size=2))
             iv = Interval(float(lo), float(hi) + 1.0)
-            inside = (model.values >= iv.lo) & (model.values < iv.hi)
-            masked = np.where(inside, model.values, 0.0)
+            values, masses = distinct_atoms(model)
+            inside = (values >= iv.lo) & (values < iv.hi)
+            masked = np.where(inside, values, 0.0)
             vals, idx = np.unique(masked, return_inverse=True)
             probs = np.zeros(vals.size)
-            np.add.at(probs, idx, model.probs)
+            np.add.at(probs, idx, masses)
             alpha = float(rng.uniform(0.5, 0.99))
             assert var_of_tranche(model, iv, alpha) == var(atoms(vals, probs), alpha)
 
