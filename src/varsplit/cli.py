@@ -35,18 +35,12 @@ from .loss_model import (
     build_model,
     cdf,
     describe,
-    empirical,
+    empirical,  # unused here; perfbench/tracing.py wraps varsplit.cli.empirical
     load_losses_csv,
     order_stat_rank,
     sample,
 )
-from .risk_measures import (
-    RiskLevel,
-    es_of_tranche,
-    expected_shortfall,
-    var,
-    var_of_tranche,
-)
+from .risk_measures import RiskLevel, es_of_tranche, expected_shortfall, var
 from .structuring import (
     RandomizedScheme,
     build_partition,
@@ -221,19 +215,16 @@ def _load_model(command: argparse.Namespace) -> LossModel:
     return load_losses_csv(command.input_path)
 
 
-def _unit_vars(
-    losses: np.ndarray, idx: np.ndarray, n_units: int, level: RiskLevel
-) -> list[float]:
+def _unit_vars(ranked: np.ndarray, hits: np.ndarray, level: RiskLevel) -> list[float]:
     """Empirical VaR of each unit's loss: its own hits, zero in other trials.
 
-    A unit's column sorts as its n - hits zeros followed by its sorted hits,
-    so its VaR is the entry of rank :func:`order_stat_rank` in that sequence,
-    read from one sort of all losses by (unit, loss).
+    ``ranked`` holds every trial's loss grouped by unit, increasing within
+    each group, and ``hits`` the group sizes. A unit's column sorts as its
+    n - hits zeros followed by its sorted hits, so its VaR is the entry of
+    rank :func:`order_stat_rank` in that sequence.
     """
-    ranked = losses[np.lexsort((losses, idx))]
-    hits = np.bincount(idx, minlength=n_units)
     ends = np.cumsum(hits)
-    ranks = order_stat_rank(losses.size, level.alpha) - (losses.size - hits)
+    ranks = order_stat_rank(ranked.size, level.alpha) - (ranked.size - hits)
     return [
         float(ranked[end - hit + rank - 1]) if rank > 0 else 0.0
         for end, hit, rank in zip(ends, hits, ranks)
@@ -261,7 +252,9 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
         scheme = RandomizedScheme(n_subs, seed=_substream(command.seed, 1))
         trials = command.trials
         losses = sample(model, _substream(command.seed, 0), trials)
-        emp = _unit_vars(losses, randomized_assign(scheme, losses), n_subs, level)
+        idx = randomized_assign(scheme, losses)
+        hits = np.bincount(idx, minlength=n_subs)
+        emp = _unit_vars(losses[np.lexsort((losses, idx))], hits, level)
         unit_var = randomized_unit_var(model, n_subs, level)
         unit_es = randomized_unit_es(model, n_subs, level)
         activation = (1.0 - cdf(model, 0.0)) / n_subs
@@ -278,9 +271,10 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
         emp = [None] * len(intervals)
         if command.action == "simulate":
             trials = command.trials
-            book = empirical(sample(model, _substream(command.seed, 0), trials))
-            emp = [var_of_tranche(book, iv, level) for iv in intervals]
-            del book  # the sampled book is freed before any pricing runs
+            losses = sample(model, _substream(command.seed, 0), trials)
+            losses.sort()
+            below = np.searchsorted(losses, partition.cuts[1:-1])  # a draw on a cut goes up
+            emp = _unit_vars(losses, np.diff(below, prepend=0, append=trials), level)
         dec = decompose(model, partition, level)
         cuts = partition.cuts
         rows = [

@@ -21,7 +21,6 @@ from .errors import (
 )
 from .loss_model import (  # MASS_GUARD stays importable from here
     MASS_GUARD,
-    PROB_TOL,
     Interval,
     LossModel,
     UniformLaw,
@@ -124,15 +123,21 @@ def min_subsidiaries(level: RiskLevel | float) -> int:
     """Smallest N whose units can each stay strictly below mass 1 - alpha.
 
     Masses summing to one force N * (1 - alpha) > 1, so this is
-    ``floor(1 / (1 - alpha)) + 1`` in exact arithmetic.
+    ``floor(1 / (1 - alpha)) + 1`` in exact arithmetic. In floats it is the
+    smallest N passing ``_mass_ok(1 / N, alpha)``, which is monotone in N,
+    found by doubling and bisecting. Once ``level_weight(alpha, 1)`` reaches
+    1 no N passes, and this raises :class:`NInsufficient`.
     """
     alpha = as_level(level).alpha
-    n = max(1, math.floor(1.0 / (1.0 - alpha)))
-    while n > 1 and _mass_ok(1.0 / (n - 1), alpha):
-        n -= 1
-    while not _mass_ok(1.0 / n, alpha):
-        n += 1
-    return n
+    if level_weight(alpha, 1.0) >= 1.0:
+        raise NInsufficient(f"no unit count keeps each mass below 1 - alpha = {1.0 - alpha}")
+    lo, hi = 1, 2  # a single unit always fails
+    while not _mass_ok(1.0 / hi, alpha):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _mass_ok(1.0 / mid, alpha) else (mid, hi)
+    return hi
 
 
 def _greedy_groups(tops: np.ndarray) -> list[tuple[int, int]]:
@@ -214,7 +219,11 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
 
 
 def decompose(model: LossModel, partition: Partition, level: RiskLevel | float) -> TrancheDecomposition:
-    """Apply a partition to a model: masses and per-tranche strict quantiles."""
+    """Apply a partition to a model: masses and per-tranche strict quantiles.
+
+    A partition from 0 to ``max_loss`` covers the support, so the masses are
+    not checked to sum to 1, which atoms need only within ``PROB_TOL``.
+    """
     lvl = as_level(level)
     cuts = partition.cuts
     if cuts[-1] != model.max_loss:
@@ -223,11 +232,6 @@ def decompose(model: LossModel, partition: Partition, level: RiskLevel | float) 
         )
     ivs = partition.intervals()
     masses = np.array([mass_in(model, iv) for iv in ivs])
-    total = float(np.sum(masses))
-    if abs(total - 1.0) > PROB_TOL:
-        raise PartitionMismatch(
-            f"tranche masses sum to {total!r}, the partition misses support"
-        )
     tranche_vars = np.array([var_of_tranche(model, iv, lvl) for iv in ivs])
     masses.flags.writeable = False
     tranche_vars.flags.writeable = False

@@ -323,6 +323,26 @@ class TestMain:
             assert main(argv) == 0
             assert "-0.0" not in capsys.readouterr().out
 
+    def test_near_edge_atoms_decompose(self, capsys):
+        """Probabilities summing to 1 + 1e-12 decompose and simulate, as they price."""
+        pairs = (
+            "atoms:1:0.1503170253143521,2:0.1900380041473550,3:0.1974383548446614,"
+            "4:0.1325257473231537,5:0.3296808683714777"
+        )
+        for action in ("var", "decompose", "simulate"):
+            assert main([action, "--dist", pairs, "--alpha", "0.5", "--trials", "100"]) == 0
+            assert capsys.readouterr().err == ""
+
+    def test_level_too_close_to_one_for_any_unit_count(self, capsys):
+        """A default unit count at alpha 1 - 5e-13 is an error, not an endless search."""
+        for argv in (
+            ["randomize", *UNIFORM],
+            ["decompose", *UNIFORM],
+            ["simulate", *UNIFORM, "--tranches", "5"],
+        ):
+            assert main([*argv, "--alpha", "0.9999999999995"]) == 1
+            assert "no unit count" in capsys.readouterr().err
+
     def test_module_errors_exit_1(self, capsys):
         assert main(["var", "--dist", "atoms:1:0.9"]) == 1
         assert "sum to 1" in capsys.readouterr().err

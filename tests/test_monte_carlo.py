@@ -26,7 +26,7 @@ from varsplit import (
 )
 from varsplit.cli import _substream, parse_cli, run_simulation
 
-ALPHAS = ("0.5", "0.75", "0.9", "0.95", "0.99", "0.999")
+ALPHAS = ("0.5", "0.75", "0.9", "0.95", "0.99", "0.999", "0.9999999999995")
 
 
 @st.composite
@@ -84,6 +84,8 @@ def columns(command, report, losses):
          alpha="0.99", trials=100, units=3, seed=42)
 @example(action="randomize", source=("csv", "0\n0\n1\n1\n1\n2\n"), alpha="0.95",
          trials=20, units=2, seed=7)
+@example(action="randomize", source=("dist", "atoms:0:0.5,5:0.3,10:0.2"),
+         alpha="0.9999999999995", trials=20, units=3, seed=5)
 def test_empirical_vars_match_explicit_columns(action, source, alpha, trials, units, seed):
     """``units`` is the subsidiary count, or the tranches added to the minimum."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -130,3 +132,20 @@ def test_monte_carlo_memory_is_bounded_by_trials():
             tracemalloc.stop()
         assert len(report.tranches) == 1001
         assert peak < 64 * 2**20, f"{argv[0]} peaked at {peak / 2**20:.1f} MB"
+
+
+def test_simulate_keeps_one_trial_length_array():
+    """``simulate`` sorts its draws in place and builds no book from them."""
+    trials = 100000
+    command = parse_cli([
+        "simulate", "--dist", "uniform:0,1", "--alpha", "0.99",
+        "--tranches", "200", "--trials", str(trials),
+    ])
+    tracemalloc.start()
+    try:
+        report = run_simulation(command)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.tranches) == 200
+    assert peak < 2 * trials * 8, f"simulate peaked at {peak / 2**20:.2f} MB"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from varsplit import (
     AtomTooHeavy,
@@ -10,6 +12,7 @@ from varsplit import (
     OutOfSupport,
     Partition,
     PartitionMismatch,
+    ProbsNotNormalized,
     RandomizedScheme,
     RiskLevel,
     atoms,
@@ -29,9 +32,17 @@ from varsplit import (
     var,
     var_of_tranche,
 )
+from varsplit.loss_model import PROB_TOL
 
 U01 = uniform(0.0, 1.0)
 SINGLE_ATOM_100 = atoms([100.0], [1.0])
+
+
+@st.composite
+def near_edge_probs(draw):
+    """3 to 39 positive probabilities whose sum is 1 up to about PROB_TOL."""
+    weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=3, max_size=39)), float)
+    return list(weights / weights.sum() * (1.0 + draw(st.floats(-PROB_TOL, PROB_TOL))))
 
 
 def flat_64_atoms():
@@ -50,12 +61,17 @@ class TestMinSubsidiaries:
         assert min_subsidiaries(RiskLevel(0.95)) == 21
 
     def test_result_is_tight(self):
-        """N units pass the strict bound, N - 1 units cannot."""
-        for alpha in (0.9, 0.95, 0.99, 0.8, 0.5):
+        """N units pass the strict bound, N - 1 units cannot, up to alpha = 1 - 1e-11."""
+        for alpha in (0.9, 0.95, 0.99, 0.8, 0.5, *(1.0 - 10.0**-k for k in range(1, 12))):
             n = min_subsidiaries(alpha)
             assert validate_scheme(RandomizedScheme(n, seed=0), alpha).ok
             if n > 1:
                 assert not validate_scheme(RandomizedScheme(n - 1, seed=0), alpha).ok
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-12, 0.9999999999995, 0.9999999999999999])
+    def test_no_count_once_the_guarded_level_reaches_one(self, alpha):
+        with pytest.raises(NInsufficient, match="no unit count"):
+            min_subsidiaries(alpha)
 
 
 class TestPartitionType:
@@ -178,6 +194,21 @@ class TestDecompose:
     def test_masses_sum_to_one(self):
         dec = decompose(U01, Partition((0.0, 0.2, 0.7, 1.0)), 0.95)
         assert float(np.sum(dec.masses)) == pytest.approx(1.0, abs=1e-12)
+
+    @given(probs=near_edge_probs(), alpha=st.sampled_from([0.5, 0.75, 0.9]))
+    @example(
+        probs=[0.1503170253143521, 0.1900380041473550, 0.1974383548446614,
+               0.1325257473231537, 0.3296808683714777],
+        alpha=0.5,
+    )
+    def test_near_edge_atoms_decompose(self, probs, alpha):
+        """Probabilities accepted within PROB_TOL of 1 decompose under their own partition."""
+        try:
+            model = atoms(np.arange(1.0, len(probs) + 1.0), probs)
+            part = build_partition(model, alpha)
+        except (ProbsNotNormalized, AtomTooHeavy):
+            return
+        assert decompose(model, part, alpha).total_capital == 0.0
 
     def test_partition_must_span_support(self):
         with pytest.raises(PartitionMismatch, match="ends at"):
