@@ -21,12 +21,14 @@ ends a pass that reaches capital 0: rows never rise with i and no cost is
 negative, so a row with capital 0 is all zeros and the next row equals it.
 For R rows over m atoms, time is O(R x m) in O(R) numpy calls. Memory is
 O(m x sqrt(rmax)), where rmax = min(n, m) bounds R for a budget of n groups:
-one row in every ceil(sqrt(rmax)) is kept as a checkpoint for the cut walk.
+one row in every ceil(sqrt(rmax)) is kept as a checkpoint for the walk that
+recovers the group ends.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import InvalidBounds, TooManyAtoms
 from .loss_model import LossModel, discrete_law
 from .risk_measures import RiskLevel, as_level
-from .structuring import Partition
+from .structuring import Partition, _cuts_between
 
 #: Largest finite support the dynamic program accepts.
 MAX_SOLVER_ATOMS = 5000
@@ -163,15 +165,16 @@ def _dp_rows(jz: np.ndarray, varpt: np.ndarray, rmax: int):
     return caps, marks, step
 
 
-def _walk_cuts(marks, step, jz, tstar, varpt, pvals, gstar, target, max_loss):
-    """Recover the lexicographically smallest cut vector achieving the optimum.
+def _walk_ends(marks, step, jz, varpt, gstar, target) -> list[int]:
+    """Group ends of the lexicographically smallest cut vector at the optimum.
 
-    Rows gstar - 1 down to 0 are rebuilt one block of at most step rows at a
-    time from their checkpoints: at most one more pass. Candidates reuse the
+    Group i..j is free when j < jz[i - 1], as in :func:`_next_row`. Rows
+    gstar - 1 down to 0 are rebuilt one block of at most step rows at a time
+    from their checkpoints: at most one more pass. Candidates reuse the
     table's own expressions, so the equality test is exact. No optimal cover
     has fewer than gstar groups, so each match spends exactly one.
     """
-    cuts, i, block = [0.0], 1, []
+    ends, i, block = [], 1, []
     for r in range(gstar, 0, -1):
         if not block:
             block = [marks[(r - 1) // step]]
@@ -179,17 +182,15 @@ def _walk_cuts(marks, step, jz, tstar, varpt, pvals, gstar, target, max_loss):
                 block.append(_next_row(block[-1], varpt, jz))
         nxt = block.pop()
         for j in range(i, varpt.size + 1):
-            cand = nxt[j + 1] if tstar[j - 1] < i else varpt[j - 1] + nxt[j + 1]
+            cand = nxt[j + 1] if j < jz[i - 1] else varpt[j - 1] + nxt[j + 1]
             if cand == target:
-                if r > 1:
-                    cuts.append((float(pvals[j - 1]) + float(pvals[j])) / 2.0)
+                ends.append(j)
                 target = nxt[j + 1]
                 i = j + 1
                 break
         else:
             raise AssertionError("suffix table reconstruction lost the optimum")
-    cuts.append(float(max_loss))
-    return Partition(tuple(cuts))
+    return ends
 
 
 def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> SolveResult:
@@ -199,8 +200,8 @@ def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> Solv
     smallest cut vector, so the result is reproducible. Cuts land midway
     between adjacent support points.
     """
-    if n < 1:
-        raise InvalidBounds(f"need at least one tranche, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidBounds(f"need at least one tranche, as an integer, got {n!r}")
     return solve_with_overhead(model, level, n)
 
 
@@ -217,8 +218,8 @@ def solve_with_overhead(
     costs no less, so no larger N can win. Ties go to smaller N, so the
     winning N always equals the number of groups its partition uses.
     """
-    if n_max < 1:
-        raise InvalidBounds(f"need at least one unit, got {n_max}")
+    if not isinstance(n_max, numbers.Integral) or n_max < 1:
+        raise InvalidBounds(f"need at least one unit, as an integer, got {n_max!r}")
     sched = overhead if overhead is not None else OverheadSchedule.none()
     if sched.units < n_max:
         raise InvalidBounds(
@@ -236,9 +237,8 @@ def solve_with_overhead(
     best = int(np.argmin(objs))  # the first minimum: ties go to smaller N
     capital = caps[best + 1]
     groups = caps.index(capital)
-    partition = _walk_cuts(
-        marks, step, jz, tstar, varpt, pvals, groups, capital, model.max_loss
-    )
+    ends = _walk_ends(marks, step, jz, varpt, groups, capital)
+    partition = Partition(_cuts_between(pvals, ends, model.max_loss))
     return SolveResult(
         best_n=groups, partition=partition, capital=capital, objective=objs[best]
     )

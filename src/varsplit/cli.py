@@ -253,8 +253,9 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
         trials = command.trials
         losses = sample(model, _substream(command.seed, 0), trials)
         idx = randomized_assign(scheme, losses)
-        hits = np.bincount(idx, minlength=n_subs)
-        emp = _unit_vars(losses[np.lexsort((losses, idx))], hits, level)
+        order, hits = np.lexsort((losses, idx)), np.bincount(idx, minlength=n_subs)
+        del idx  # so the gather below is the third trial-length array, not the fourth
+        emp = _unit_vars(losses[order], hits, level)
         unit_var = randomized_unit_var(model, n_subs, level)
         unit_es = randomized_unit_es(model, n_subs, level)
         activation = (1.0 - cdf(model, 0.0)) / n_subs

@@ -135,7 +135,7 @@ class DiscreteLaw:
         """Index range ``[a, b)`` of the values inside ``iv``."""
         a = int(np.searchsorted(self.values, iv.lo, side="left"))
         side = "right" if iv.closed_hi else "left"
-        return a, max(a, int(np.searchsorted(self.values, iv.hi, side=side)))
+        return a, int(np.searchsorted(self.values, iv.hi, side=side))
 
     def mass(self, a: int, b: int) -> float:
         return float(np.sum(self.weights[a:b])) / self.total

@@ -8,6 +8,7 @@ unit is zero even though the whole book is fully covered.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,9 @@ from .risk_measures import (
 )
 
 
-def _require_units(subsidiaries: int) -> None:
-    if int(subsidiaries) < 1:
-        raise InvalidBounds(f"need at least one subsidiary, got {subsidiaries}")
+def _require_units(n: int) -> None:
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidBounds(f"need at least one subsidiary, as an integer, got {n!r}")
 
 
 def _mass_ok(mass: float, alpha: float) -> bool:
@@ -140,33 +141,37 @@ def min_subsidiaries(level: RiskLevel | float) -> int:
     return hi
 
 
-def _greedy_groups(tops: np.ndarray) -> list[tuple[int, int]]:
-    """Pack sorted atoms left to right into the fewest groups under the bound.
+def _greedy_ends(tops: np.ndarray) -> list[int]:
+    """Exclusive ends of the fewest groups of sorted atoms under the bound.
 
     ``tops[b - 1]`` is the pricing index of a group ending at b: the group
     ``[a, b)`` meets the bound exactly when ``a >= tops[b - 1]``. ``tops`` is
-    nondecreasing, so each group runs to the last such b.
+    nondecreasing, so each group, packed left to right, runs to the last such b.
     """
-    groups = []
-    start = 0
-    while start < tops.size:
-        end = int(np.searchsorted(tops, start, side="right"))
-        groups.append((start, end))
-        start = end
-    return groups
+    ends = [0]
+    while ends[-1] < tops.size:
+        ends.append(int(np.searchsorted(tops, ends[-1], side="right")))
+    return ends[1:]
+
+
+def _cuts_between(values: np.ndarray, ends: list[int], top: float) -> list[float]:
+    """Cuts 0, then midway after every group end but the last, then ``top``."""
+    mids = [(float(values[e - 1]) + float(values[e])) / 2.0 for e in ends[:-1]]
+    return [0.0, *mids, float(top)]
 
 
 def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = None) -> Partition:
     """Partition the support so every tranche mass is strictly below 1 - alpha.
 
-    With ``n`` omitted the minimal feasible tranche count is used. Continuous
-    models get equal-mass quantile cuts; discrete models are packed greedily
-    so cuts never land on an atom.
+    ``n`` must be an integer; omitted, the minimal feasible count is used.
+    Continuous models get equal-mass quantile cuts. Discrete ones are packed
+    greedily and cut between atoms: the leftmost widest group is halved until
+    there are ``n`` or one atom each, then slivers above the first atom fill n.
     """
     lvl = as_level(level)
     alpha = lvl.alpha
-    if n is not None and n < 1:
-        raise NInsufficient(f"tranche count must be >= 1, got {n}")
+    if n is not None and (not isinstance(n, numbers.Integral) or n < 1):
+        raise NInsufficient(f"tranche count must be an integer >= 1, got {n!r}")
     if isinstance(model.law, UniformLaw):
         n_min = min_subsidiaries(lvl)
         if n is None:
@@ -187,33 +192,26 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
             f"an atom of mass {heaviest} can never sit strictly below "
             f"1 - alpha = {1.0 - alpha}"
         )
-    groups = _greedy_groups(tops)
+    ends = _greedy_ends(tops)
     if n is None:
-        n = len(groups)
-    if n < len(groups):
+        n = len(ends)
+    if n < len(ends):
         raise NInsufficient(
-            f"{n} tranches cannot satisfy the mass bound; need >= {len(groups)}"
+            f"{n} tranches cannot satisfy the mass bound; need >= {len(ends)}"
         )
-    groups = [list(g) for g in groups]
-    while len(groups) < n:
-        sizes = [g[1] - g[0] for g in groups]
-        widest = max(sizes)
-        if widest == 1:
+    while len(ends) < n:
+        widths = np.diff(ends, prepend=0)
+        k = int(np.argmax(widths))  # the leftmost of the widest groups
+        w = int(widths[k])
+        if w == 1:
             break
-        k = sizes.index(widest)
-        start, end = groups[k]
-        mid = start + widest // 2
-        groups[k : k + 1] = [[start, mid], [mid, end]]
-    cuts = [0.0]
-    for g, nxt in zip(groups, groups[1:]):
-        cuts.append((float(vals[g[1] - 1]) + float(vals[nxt[0]])) / 2.0)
-    cuts.append(model.max_loss)
-    extra = n - len(groups)
+        ends.insert(k, ends[k] - w + w // 2)
+    cuts = _cuts_between(vals, ends, model.max_loss)
+    extra = n - len(ends)
     if extra > 0:
         # All groups are single atoms; spend the leftover tranche budget on
         # empty slivers between the first atom and the first cut above it.
-        top0 = float(vals[groups[0][1] - 1])
-        slivers = np.linspace(top0, cuts[1], extra + 2)[1:-1]
+        slivers = np.linspace(float(vals[0]), cuts[1], extra + 2)[1:-1]
         cuts = [cuts[0], *map(float, slivers), *cuts[1:]]
     return Partition(tuple(cuts))
 
@@ -241,17 +239,17 @@ def decompose(model: LossModel, partition: Partition, level: RiskLevel | float) 
 
 
 def split_realization(decomposition: TrancheDecomposition, x: float) -> np.ndarray:
-    """Route one realized loss to its tranche: one entry equals x, the rest 0."""
+    """Route one realized loss to its tranche: one entry equals x, the rest 0.
+
+    Its index is the count of inner cuts at or below x, the rule ``simulate``
+    counts hits by: a loss on a cut goes to the tranche above.
+    """
     x = float(x)
     cuts = decomposition.partition.cuts
     if not 0.0 <= x <= cuts[-1]:
         raise OutOfSupport(f"realization {x} lies outside [0, {cuts[-1]}]")
-    n = decomposition.partition.n_tranches
-    idx = int(np.searchsorted(cuts, x, side="right")) - 1
-    if idx >= n:
-        idx = n - 1
-    out = np.zeros(n)
-    out[idx] = x
+    out = np.zeros(decomposition.partition.n_tranches)
+    out[np.searchsorted(cuts[1:-1], x, side="right")] = x
     return out
 
 

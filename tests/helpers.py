@@ -8,12 +8,14 @@ exact in binary floating point, which is what lets the additivity and
 solver-agreement suites assert exact equality instead of tolerances.
 
 ``brute_force_oracle`` is the exhaustive reference the solver suites check
-the dynamic program against, ``reference_solve`` the exact-r suffix table the
-vectorized solver must match bit for bit, ``csv_rows_oracle`` the
-row-by-row CSV reader the ingest suite checks ``load_losses_csv`` against,
-``sorted_sample`` the sample an empirical model's law counts, and the
-``uniform_*`` functions the closed forms the uniform law must
-reproduce bit for bit.
+the dynamic program against, ``reference_solve`` the exact-r suffix table,
+over ``tranche_tables`` built from their definition, that the vectorized
+solver must match bit for bit, ``reference_partition_cuts`` the pair-list
+split that ``build_partition`` must match cut for cut, ``csv_rows_oracle``
+the row-by-row CSV reader the ingest suite checks ``load_losses_csv``
+against, ``sorted_sample`` the sample an empirical model's law counts, and
+the ``uniform_*`` functions the closed forms the uniform law must reproduce
+bit for bit.
 """
 
 import csv
@@ -39,8 +41,7 @@ from varsplit import (
     atoms,
     empirical,
 )
-from varsplit.capital_solver import _tranche_tables
-from varsplit.loss_model import DiscreteLaw
+from varsplit.loss_model import MASS_GUARD, DiscreteLaw
 
 #: Largest support the exhaustive oracle will enumerate.
 MAX_ORACLE_ATOMS = 12
@@ -177,6 +178,68 @@ def csv_rows_oracle(path) -> LossModel:
     return empirical(losses)
 
 
+def reference_partition_cuts(model: LossModel, alpha: float, n: int) -> tuple[float, ...]:
+    """Cuts of an n-tranche split of a discrete model, kept as [start, end] pairs.
+
+    The discrete branch of ``build_partition`` as it stood before the split
+    held only its group ends, verbatim but for the checks and the inlined
+    greedy packing: groups are halved, the leftmost of the widest first, and
+    cuts land midway between the groups' edge atoms.
+    """
+    law = model.law
+    vals = law.values
+    tops = law.top(np.arange(1, vals.size + 1), alpha)
+    groups = []
+    start = 0
+    while start < tops.size:
+        end = int(np.searchsorted(tops, start, side="right"))
+        groups.append((start, end))
+        start = end
+    groups = [list(g) for g in groups]
+    while len(groups) < n:
+        sizes = [g[1] - g[0] for g in groups]
+        widest = max(sizes)
+        if widest == 1:
+            break
+        k = sizes.index(widest)
+        start, end = groups[k]
+        mid = start + widest // 2
+        groups[k : k + 1] = [[start, mid], [mid, end]]
+    cuts = [0.0]
+    for g, nxt in zip(groups, groups[1:]):
+        cuts.append((float(vals[g[1] - 1]) + float(vals[nxt[0]])) / 2.0)
+    cuts.append(model.max_loss)
+    extra = n - len(groups)
+    if extra > 0:
+        # All groups are single atoms; spend the leftover tranche budget on
+        # empty slivers between the first atom and the first cut above it.
+        top0 = float(vals[groups[0][1] - 1])
+        slivers = np.linspace(top0, cuts[1], extra + 2)[1:-1]
+        cuts = [cuts[0], *map(float, slivers), *cuts[1:]]
+    return Partition(tuple(cuts)).cuts
+
+
+def tranche_tables(model: LossModel, alpha: float):
+    """Positive atom values and per-right-edge threshold indices, by definition.
+
+    An atom at 0 is in every group's zero mass, so groups hold positive atoms
+    only. The unit that bears positive atoms k+1..j (1-based) loses 0 with
+    weight W = total - their weight, so its quantile is 0 exactly when W
+    passes alpha under the boundary rule W > (alpha + MASS_GUARD) * total.
+    tstar[j - 1] is the least such k, found by scanning every (k, j): O(m^2),
+    and independent of the solver's prefix-sum search.
+    """
+    law = model.law
+    positive = law.values > 0.0
+    pvals, pweights = law.values[positive], law.weights[positive]
+    bound = (alpha + MASS_GUARD) * law.total
+    tstar = [
+        next(k for k in range(j + 1) if law.total - float(np.sum(pweights[k:j])) > bound)
+        for j in range(1, pvals.size + 1)
+    ]
+    return pvals, np.array(tstar, dtype=np.int64)
+
+
 # A suffix table whose row r covers each suffix with exactly r groups, built
 # by a sliding-window loop over every (row, atom) state, with every row kept
 # for the cut walk. ``reference_solve`` runs it as the reference that the
@@ -260,9 +323,10 @@ def _walk_cuts(rows, tstar, varpt, pvals, gstar: int, max_loss: float) -> Partit
 def reference_solve(
     model: LossModel, level: RiskLevel | float, n_max: int, sched: OverheadSchedule
 ) -> SolveResult:
-    """``solve_with_overhead`` through the exact-r reference DP above."""
+    """``solve_with_overhead`` through the exact-r reference DP above, on
+    tables built from their definition by :func:`tranche_tables`."""
     lvl = as_level(level)
-    pvals, tstar = _tranche_tables(model, lvl.alpha)
+    pvals, tstar = tranche_tables(model, lvl.alpha)
     mp = pvals.size
     if mp == 0:
         raise InvalidBounds("all loss mass sits at zero; there is nothing to split")

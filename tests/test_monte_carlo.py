@@ -149,3 +149,23 @@ def test_simulate_keeps_one_trial_length_array():
         tracemalloc.stop()
     assert len(report.tranches) == 200
     assert peak < 2 * trials * 8, f"simulate peaked at {peak / 2**20:.2f} MB"
+
+
+def test_randomize_keeps_three_trial_length_arrays():
+    """``randomize`` drops the unit index before it gathers the draws by unit,
+    so the draws, their order and the gathered draws peak together."""
+    trials = 100000
+    argv = [
+        "randomize", "--dist", "atoms:100:1", "--subsidiaries", "200", "--alpha", "0.99",
+    ]
+    # A first run imports what numpy's seeding needs: about 0.7 MB, once per process.
+    run_simulation(parse_cli([*argv, "--trials", "10"]))
+    command = parse_cli([*argv, "--trials", str(trials)])
+    tracemalloc.start()
+    try:
+        report = run_simulation(command)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.tranches) == 200
+    assert peak < 3.5 * trials * 8, f"randomize peaked at {peak / 2**20:.2f} MB"

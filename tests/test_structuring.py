@@ -1,8 +1,11 @@
 """Tests for partition building, tranche decomposition, and randomized routing."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from helpers import reference_partition_cuts
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from varsplit import (
@@ -26,6 +29,8 @@ from varsplit import (
     randomized_unit_es,
     randomized_unit_var,
     sample,
+    solve_tranche_dp,
+    solve_with_overhead,
     split_realization,
     uniform,
     validate_scheme,
@@ -36,6 +41,7 @@ from varsplit.loss_model import PROB_TOL
 
 U01 = uniform(0.0, 1.0)
 SINGLE_ATOM_100 = atoms([100.0], [1.0])
+FIVE_FIFTHS = atoms([1.0, 2.0, 3.0, 4.0, 5.0], [0.2] * 5)
 
 
 @st.composite
@@ -43,6 +49,25 @@ def near_edge_probs(draw):
     """3 to 39 positive probabilities whose sum is 1 up to about PROB_TOL."""
     weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=3, max_size=39)), float)
     return list(weights / weights.sum() * (1.0 + draw(st.floats(-PROB_TOL, PROB_TOL))))
+
+
+@st.composite
+def split_cases(draw):
+    """A feasible atoms or empirical model, a level, and a tranche count from
+    the greedy one up to three past the atom count."""
+    m = draw(st.integers(1, 40))
+    values = sorted(draw(st.sets(st.integers(0, 90), min_size=m, max_size=m)))
+    weights = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        model = atoms(values, np.array(weights) / sum(weights))
+    else:
+        model = empirical(np.repeat(np.array(values, dtype=float), weights))
+    alpha = draw(st.sampled_from([0.3, 0.5, 0.75, 0.9, 0.95]))
+    try:
+        greedy = build_partition(model, alpha).n_tranches
+    except AtomTooHeavy:
+        reject()
+    return model, alpha, draw(st.integers(greedy, m + 3))
 
 
 def flat_64_atoms():
@@ -164,6 +189,14 @@ class TestBuildPartitionDiscrete:
         dec = decompose(model, part, 0.5)
         assert dec.total_capital == 0.0
         assert np.sum(dec.masses == 0.0) == 3
+
+    @given(split_cases())
+    @example((atoms(np.arange(1.0, 9.0), np.full(8, 0.125)), 0.1, 6))
+    def test_split_matches_the_pair_list_reference(self, case):
+        """Every count from the greedy one to past the atom count cuts where
+        the [start, end] pair-list split cut, ties on width included."""
+        model, alpha, n = case
+        assert build_partition(model, alpha, n).cuts == reference_partition_cuts(model, alpha, n)
 
     def test_empirical_models_pack_too(self):
         rng = np.random.default_rng(52)
@@ -383,3 +416,25 @@ class TestZeroCapitalProperty:
             column_var = var(empirical(np.where(mask, losses, 0.0)), 0.95)
             assert column_var == var_of_tranche(emp_model, iv, 0.95)
             assert column_var == pytest.approx(analytic, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    ("count_into", "error"),
+    [
+        (lambda n: build_partition(FIVE_FIFTHS, 0.5, n), NInsufficient),
+        (lambda n: solve_tranche_dp(FIVE_FIFTHS, 0.5, n), InvalidBounds),
+        (lambda n: solve_with_overhead(FIVE_FIFTHS, 0.5, n), InvalidBounds),
+        (lambda n: RandomizedScheme(n, 0), InvalidBounds),
+        (lambda n: randomized_unit_var(FIVE_FIFTHS, n, 0.5), InvalidBounds),
+        (lambda n: randomized_unit_es(FIVE_FIFTHS, n, 0.5), InvalidBounds),
+    ],
+    ids=["partition", "solve_dp", "solve_overhead", "scheme", "unit_var", "unit_es"],
+)
+def test_unit_counts_must_be_integers(count_into, error):
+    """A fractional or float count is refused by name, never truncated or fed
+    to numpy; Python and numpy integers are both accepted."""
+    for bad in (2.5, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(error, match=re.escape(repr(bad))):
+            count_into(bad)
+    count_into(3)
+    count_into(np.int64(3))
