@@ -6,15 +6,14 @@ wider class of decompositions (randomized ones included) can do better is not
 answered by this module, and every report built on it carries that caveat.
 
 The dynamic program exploits one structural fact: the strict quantile of a
-group depends only on its right edge. Reading the group (k+1..j) against the
-prefix masses S, its quantile is zero exactly when S[k] > S[j] - (1 - alpha),
-and otherwise equals the value of the first atom t with S[t] > S[j] - (1 -
-alpha). That atom is the same for every left edge k, so each right edge j
-carries a single precomputed cost and a single threshold index
-(:meth:`DiscreteLaw.top`, which also prices tranches).
+group of sorted atoms depends only on its right edge, once the group is not
+free. :meth:`DiscreteLaw.groups` holds that fact as one table over every
+distinct atom, an atom at 0 included: under the boundary rule of
+:func:`level_weight`, the group starting at atom a is free up to the end
+``reach[a]``, and a costly group ending at b pays ``price[b - 1]``.
 
 Row r of its suffix table holds, at atom i, the cheapest cover of atoms
-i..mp by at most r groups, min(exactly r groups, row r - 1), with the empty
+i..m by at most r groups, min(exactly r groups, row r - 1), with the empty
 suffix at 0. Each row is a few numpy calls on the one before, and the pass
 stops before the first row equal to the one before it. That one stop also
 ends a pass that reaches capital 0: rows never rise with i and no cost is
@@ -107,41 +106,24 @@ class SolveResult:
     objective: float
 
 
-def _tranche_tables(model: LossModel, alpha: float):
-    """Positive atom values and per-right-edge threshold indices.
-
-    For a right edge j (1-based), the group (k+1..j) has zero quantile if and
-    only if k >= tstar[j-1]; otherwise its quantile is pvals[tstar[j-1] - 1].
-    """
-    law = discrete_law(model)
-    if law.values.size > MAX_SOLVER_ATOMS:
-        raise TooManyAtoms(
-            f"{law.values.size} distinct support points exceed the solver bound "
-            f"{MAX_SOLVER_ATOMS}"
-        )
-    s = int(law.values[0] == 0.0)  # the DP groups the positive atoms only
-    tops = law.top(np.arange(s + 1, law.values.size + 1), alpha)
-    return law.values[s:], np.maximum(tops - s, 0)
-
-
-def _next_row(prev: np.ndarray, varpt: np.ndarray, jz: np.ndarray) -> np.ndarray:
-    """Row r of the suffix table (index 1..mp + 1) from row r - 1.
+def _next_row(prev: np.ndarray, price: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Row r of the suffix table (index 1..m + 1) from row r - 1.
 
     A row never rises with i, since dropping a group's first atom never raises
-    its price. So free groups i..j (j < jz[i]) reach row r - 1 at prev[jz[i]],
-    and costly ones (j >= jz[i]) at the right-to-left minimum of
-    varpt[j] + prev[j + 1] read at jz[i]. As jz[i] >= i, prev[jz[i]] <= prev[i]
-    also covers "fewer than r groups".
+    its price. So free groups i..j (j < reach[i - 1]) meet row r - 1 at
+    prev[reach[i - 1]], and costly ones at the right-to-left minimum of
+    price[j - 1] + prev[j + 1] read at reach[i - 1]. As reach[i - 1] >= i,
+    prev[reach[i - 1]] <= prev[i] also covers "fewer than r groups".
     """
     costly = np.full(prev.size, np.inf)
-    np.add(varpt, prev[2:], out=costly[1:-1])
+    np.add(price, prev[2:], out=costly[1:-1])
     costly = np.minimum.accumulate(costly[::-1])[::-1]
     cur = prev.copy()
-    np.minimum(prev[jz], costly[jz], out=cur[1:-1])
+    np.minimum(prev[reach], costly[reach], out=cur[1:-1])
     return cur
 
 
-def _dp_rows(jz: np.ndarray, varpt: np.ndarray, rmax: int):
+def _dp_rows(reach: np.ndarray, price: np.ndarray, rmax: int):
     """Capitals caps[r] with at most r groups, plus every step-th row.
 
     Stops before the first row equal to the one before it: the recurrence is
@@ -152,10 +134,10 @@ def _dp_rows(jz: np.ndarray, varpt: np.ndarray, rmax: int):
     O(rows x m) in numpy calls.
     """
     step = math.isqrt(rmax - 1) + 1
-    row = np.append(np.full(varpt.size + 1, np.inf), 0.0)
+    row = np.append(np.full(price.size + 1, np.inf), 0.0)
     caps, marks = [np.inf], [row]
     for r in range(1, rmax + 1):
-        cur = _next_row(row, varpt, jz)
+        cur = _next_row(row, price, reach)
         if np.array_equal(cur, row):
             break
         row = cur
@@ -165,10 +147,10 @@ def _dp_rows(jz: np.ndarray, varpt: np.ndarray, rmax: int):
     return caps, marks, step
 
 
-def _walk_ends(marks, step, jz, varpt, gstar, target) -> list[int]:
+def _walk_ends(marks, step, reach, price, gstar, target) -> list[int]:
     """Group ends of the lexicographically smallest cut vector at the optimum.
 
-    Group i..j is free when j < jz[i - 1], as in :func:`_next_row`. Rows
+    Group i..j is free when j < reach[i - 1], as in :func:`_next_row`. Rows
     gstar - 1 down to 0 are rebuilt one block of at most step rows at a time
     from their checkpoints: at most one more pass. Candidates reuse the
     table's own expressions, so the equality test is exact. No optimal cover
@@ -179,10 +161,10 @@ def _walk_ends(marks, step, jz, varpt, gstar, target) -> list[int]:
         if not block:
             block = [marks[(r - 1) // step]]
             for _ in range((r - 1) % step):
-                block.append(_next_row(block[-1], varpt, jz))
+                block.append(_next_row(block[-1], price, reach))
         nxt = block.pop()
-        for j in range(i, varpt.size + 1):
-            cand = nxt[j + 1] if j < jz[i - 1] else varpt[j - 1] + nxt[j + 1]
+        for j in range(i, price.size + 1):
+            cand = nxt[j + 1] if j < reach[i - 1] else price[j - 1] + nxt[j + 1]
             if cand == target:
                 ends.append(j)
                 target = nxt[j + 1]
@@ -226,19 +208,22 @@ def solve_with_overhead(
             f"table overhead covers 1..{sched.units} units, need {n_max}"
         )
     lvl = as_level(level)
-    pvals, tstar = _tranche_tables(model, lvl.alpha)
-    mp = pvals.size
-    if mp == 0:
+    law = discrete_law(model)
+    if law.values.size > MAX_SOLVER_ATOMS:
+        raise TooManyAtoms(
+            f"{law.values.size} distinct support points exceed the solver bound "
+            f"{MAX_SOLVER_ATOMS}"
+        )
+    if law.upper == 0.0:
         raise InvalidBounds("all loss mass sits at zero; there is nothing to split")
-    varpt = pvals[np.maximum(tstar, 1) - 1]
-    jz = np.searchsorted(tstar, np.arange(1, mp + 1), side="left") + 1
-    caps, marks, step = _dp_rows(jz, varpt, min(n_max, mp))
+    price, reach = law.groups(lvl.alpha)
+    caps, marks, step = _dp_rows(reach, price, min(n_max, price.size))
     objs = [caps[n] + sched.cost(n) for n in range(1, len(caps))]
     best = int(np.argmin(objs))  # the first minimum: ties go to smaller N
     capital = caps[best + 1]
     groups = caps.index(capital)
-    ends = _walk_ends(marks, step, jz, varpt, groups, capital)
-    partition = Partition(_cuts_between(pvals, ends, model.max_loss))
+    ends = _walk_ends(marks, step, reach, price, groups, capital)
+    partition = Partition(_cuts_between(law.values, ends, model.max_loss))
     return SolveResult(
         best_n=groups, partition=partition, capital=capital, objective=objs[best]
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -150,6 +151,20 @@ class DiscreteLaw:
         """
         thr = self.cum[b] - self.total + level_weight(alpha, self.total)
         return np.minimum(np.searchsorted(self.cum, thr, side="right"), b)
+
+    def groups(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """The free-group table ``(price, reach)`` of the atoms at level ``alpha``.
+
+        The group ``values[a:b]`` is free (its unit VaR is 0) exactly when
+        ``b < reach[a]``, so ``reach[a]`` is the first end at which the group
+        starting at atom a stops being free; a costly group ending at b pays
+        ``price[b - 1]``, whatever its start. Both come from one :meth:`top`
+        call over every end b.
+        """
+        m = self.values.size
+        tops = self.top(np.arange(1, m + 1), alpha)
+        reach = np.searchsorted(tops, np.arange(m), side="right") + 1
+        return self.values[np.maximum(tops, 1) - 1], reach
 
     def unit_var(self, a: int, b: int, alpha: float) -> float:
         """Strict quantile of X * 1{X among values[a:b]} at level alpha."""
@@ -414,10 +429,16 @@ def mass_in(model: LossModel, iv: Interval) -> float:
     return model.law.mass(*model.law.span(iv))
 
 
+def _require_seed(seed: int) -> None:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidBounds(f"seed must be >= 0, as an integer, got {seed!r}")
+
+
 def sample(model: LossModel, seed: int, n: int) -> np.ndarray:
     """Draw ``n`` losses; identical (model, seed, n) gives identical output."""
-    if n < 1:
-        raise InvalidBounds(f"sample size must be >= 1, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidBounds(f"sample size must be >= 1, as an integer, got {n!r}")
+    _require_seed(seed)
     return model.law.sample(np.random.default_rng(seed), n)
 
 

@@ -25,6 +25,7 @@ from .loss_model import (  # MASS_GUARD stays importable from here
     Interval,
     LossModel,
     UniformLaw,
+    _require_seed,
     intervals_from_cuts,
     level_weight,
     mass_in,
@@ -97,6 +98,7 @@ class RandomizedScheme:
 
     def __post_init__(self):
         _require_units(self.subsidiaries)
+        _require_seed(self.seed)
         object.__setattr__(self, "subsidiaries", int(self.subsidiaries))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -141,19 +143,6 @@ def min_subsidiaries(level: RiskLevel | float) -> int:
     return hi
 
 
-def _greedy_ends(tops: np.ndarray) -> list[int]:
-    """Exclusive ends of the fewest groups of sorted atoms under the bound.
-
-    ``tops[b - 1]`` is the pricing index of a group ending at b: the group
-    ``[a, b)`` meets the bound exactly when ``a >= tops[b - 1]``. ``tops`` is
-    nondecreasing, so each group, packed left to right, runs to the last such b.
-    """
-    ends = [0]
-    while ends[-1] < tops.size:
-        ends.append(int(np.searchsorted(tops, ends[-1], side="right")))
-    return ends[1:]
-
-
 def _cuts_between(values: np.ndarray, ends: list[int], top: float) -> list[float]:
     """Cuts 0, then midway after every group end but the last, then ``top``."""
     mids = [(float(values[e - 1]) + float(values[e])) / 2.0 for e in ends[:-1]]
@@ -185,14 +174,18 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
 
     law = model.law
     vals = law.values
-    tops = law.top(np.arange(1, vals.size + 1), alpha)
-    if np.any(tops > np.arange(vals.size)):
-        heaviest = float(np.max(law.weights)) / law.total
-        raise AtomTooHeavy(
-            f"an atom of mass {heaviest} can never sit strictly below "
-            f"1 - alpha = {1.0 - alpha}"
-        )
-    ends = _greedy_ends(tops)
+    _, reach = law.groups(alpha)
+    ends = [0]
+    while ends[-1] < vals.size:  # the fewest groups, each to its last free end
+        end = int(reach[ends[-1]]) - 1
+        if end == ends[-1]:  # the atom that starts this group is not free alone
+            heaviest = float(np.max(law.weights)) / law.total
+            raise AtomTooHeavy(
+                f"an atom of mass {heaviest} can never sit strictly below "
+                f"1 - alpha = {1.0 - alpha}"
+            )
+        ends.append(end)
+    del ends[0]
     if n is None:
         n = len(ends)
     if n < len(ends):

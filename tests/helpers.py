@@ -8,10 +8,11 @@ exact in binary floating point, which is what lets the additivity and
 solver-agreement suites assert exact equality instead of tolerances.
 
 ``brute_force_oracle`` is the exhaustive reference the solver suites check
-the dynamic program against, ``reference_solve`` the exact-r suffix table,
-over ``tranche_tables`` built from their definition, that the vectorized
-solver must match bit for bit, ``reference_partition_cuts`` the pair-list
-split that ``build_partition`` must match cut for cut, ``csv_rows_oracle``
+the dynamic program against, ``group_table`` the scan that
+``DiscreteLaw.groups`` must match, ``reference_solve`` the exact-r suffix
+table, over ``tranche_tables`` built from their definition, that the
+vectorized solver must match bit for bit, ``reference_partition_cuts`` the
+pair-list split that ``build_partition`` must match cut for cut, ``csv_rows_oracle``
 the row-by-row CSV reader the ingest suite checks ``load_losses_csv``
 against, ``sorted_sample`` the sample an empirical model's law counts, and
 the ``uniform_*`` functions the closed forms the uniform law must reproduce
@@ -217,6 +218,27 @@ def reference_partition_cuts(model: LossModel, alpha: float, n: int) -> tuple[fl
         slivers = np.linspace(top0, cuts[1], extra + 2)[1:-1]
         cuts = [cuts[0], *map(float, slivers), *cuts[1:]]
     return Partition(tuple(cuts)).cuts
+
+
+def group_table(law: DiscreteLaw, alpha: float):
+    """``DiscreteLaw.groups`` by definition, scanning every (a, b): O(m^2).
+
+    The unit that bears atoms a..b-1 (0-based) loses 0 with weight W = total -
+    their weight, so its quantile is 0 exactly when W passes alpha under the
+    boundary rule W > (alpha + MASS_GUARD) * total. reach[a] is the first end
+    b at which that fails, m + 1 if none does. A costly group ending at b is
+    priced at the atom before the least start t whose group t..b-1 is free.
+    """
+    m = law.values.size
+    bound = (alpha + MASS_GUARD) * law.total
+
+    def free(a: int, b: int) -> bool:
+        return law.total - float(np.sum(law.weights[a:b])) > bound
+
+    reach = [next((b for b in range(a + 1, m + 1) if not free(a, b)), m + 1) for a in range(m)]
+    least = [next(t for t in range(b + 1) if free(t, b)) for b in range(1, m + 1)]
+    price = [law.values[max(t, 1) - 1] for t in least]
+    return np.array(price), np.array(reach)
 
 
 def tranche_tables(model: LossModel, alpha: float):

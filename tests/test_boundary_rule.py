@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from helpers import brute_force_oracle
+from helpers import brute_force_oracle, group_table
 from varsplit import (
     atoms,
     decompose,
@@ -32,6 +32,17 @@ def integer_laws(draw, max_atoms: int, equal_weights: bool = False):
     if equal_weights:
         return values, [1] * m
     return values, draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+
+
+@st.composite
+def zero_atom_laws(draw, max_atoms: int):
+    """Positive integer laws with no atom at 0, a light one or a heavy one."""
+    values, weights = draw(integer_laws(max_atoms))
+    values = [v + 1 for v in values]
+    zero = draw(st.sampled_from([None, 1, 9 * sum(weights)]))
+    if zero is None:
+        return values, weights
+    return [0, *values], [zero, *weights]
 
 
 def both_models(law):
@@ -63,6 +74,18 @@ def exact_tranche_var(law, iv, alpha: Fraction) -> float:
     rest = sum(weights) - sum(w for _, w in hit)
     zeros_first = ([0] + [v for v, _ in hit], [rest] + [w for _, w in hit])
     return exact_quantile(zeros_first, alpha)
+
+
+@given(law=zero_atom_laws(max_atoms=30), alpha=st.sampled_from(ALPHAS))
+@example(law=([0, 1, 2], [97, 1, 2]), alpha=0.95)
+@example(law=([0, 3, 5], [1, 20, 20]), alpha=0.6)
+def test_group_table_matches_the_definition(law, alpha):
+    """One ``top`` call per end gives what a scan of every group gives."""
+    for model in both_models(law):
+        price, reach = model.law.groups(alpha)
+        want_price, want_reach = group_table(model.law, alpha)
+        assert price.tolist() == want_price.tolist()
+        assert reach.tolist() == want_reach.tolist()
 
 
 def test_hundred_equal_atoms_at_99_percent():

@@ -162,6 +162,15 @@ class TestBuildPartitionDiscrete:
         with pytest.raises(AtomTooHeavy, match="never sit strictly below"):
             build_partition(atoms([0.0, 10.0], [0.5, 0.5]), 0.95)
 
+    def test_heavy_zero_atom_is_fatal_though_the_solver_prices_it_at_zero(self):
+        """An atom at 0 heavier than 1 - alpha fails the mass bound, yet the
+        group that holds it pays values[0] = 0, so the solver reaches capital 0."""
+        model = atoms([0.0, 1.0, 2.0], [0.97, 0.01, 0.02])
+        with pytest.raises(AtomTooHeavy, match="an atom of mass 0.97 "):
+            build_partition(model, 0.95)
+        res = solve_tranche_dp(model, 0.95, 3)
+        assert (res.capital, res.best_n, res.partition.cuts) == (0.0, 1, (0.0, 2.0))
+
     def test_greedy_packing_on_flat_grid(self):
         """64 atoms of 1/64 pack three per tranche: 21 full groups plus one."""
         model = flat_64_atoms()
@@ -438,3 +447,22 @@ def test_unit_counts_must_be_integers(count_into, error):
             count_into(bad)
     count_into(3)
     count_into(np.int64(3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: sample(FIVE_FIFTHS, 1, x),
+        lambda x: sample(FIVE_FIFTHS, x, 3),
+        lambda x: RandomizedScheme(3, x),
+    ],
+    ids=["sample_size", "sample_seed", "scheme_seed"],
+)
+def test_seeds_and_sample_sizes_must_be_integers(call):
+    """A fractional, float, text or negative value is refused by name, never
+    truncated or left to numpy's own errors; numpy integers are accepted."""
+    for bad in (2.5, 3.0, np.float64(3.0), "3", -1):
+        with pytest.raises(InvalidBounds, match=re.escape(repr(bad))):
+            call(bad)
+    call(3)
+    call(np.int64(3))
