@@ -27,13 +27,12 @@ recovers the group ends.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidBounds, TooManyAtoms
-from .loss_model import LossModel, discrete_law
+from .loss_model import LossModel, _require_int, discrete_law
 from .risk_measures import RiskLevel, as_level
 from .structuring import Partition, _cuts_between
 
@@ -182,8 +181,7 @@ def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> Solv
     smallest cut vector, so the result is reproducible. Cuts land midway
     between adjacent support points.
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidBounds(f"need at least one tranche, as an integer, got {n!r}")
+    n = _require_int(n, 1, "need at least one tranche, as an integer")
     return solve_with_overhead(model, level, n)
 
 
@@ -200,8 +198,7 @@ def solve_with_overhead(
     costs no less, so no larger N can win. Ties go to smaller N, so the
     winning N always equals the number of groups its partition uses.
     """
-    if not isinstance(n_max, numbers.Integral) or n_max < 1:
-        raise InvalidBounds(f"need at least one unit, as an integer, got {n_max!r}")
+    n_max = _require_int(n_max, 1, "need at least one unit, as an integer")
     sched = overhead if overhead is not None else OverheadSchedule.none()
     if sched.units < n_max:
         raise InvalidBounds(

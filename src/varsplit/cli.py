@@ -183,17 +183,15 @@ def parse_cli(argv=None) -> argparse.Namespace:
         ns.overhead = _parse_overhead(ns.overhead)
     except ValueError as exc:
         parser.error(f"--overhead: {exc}")
-    for flag, value in (
-        ("--tranches", ns.tranches),
-        ("--subsidiaries", ns.subsidiaries),
-        ("--max-desks", ns.max_desks),
+    for flag, value, least in (
+        ("--tranches", ns.tranches, 1),
+        ("--subsidiaries", ns.subsidiaries, 1),
+        ("--max-desks", ns.max_desks, 1),
+        ("--trials", ns.trials, 1),
+        ("--seed", ns.seed, 0),
     ):
-        if value is not None and value < 1:
-            parser.error(f"{flag}: must be >= 1, got {value}")
-    if ns.trials < 1:
-        parser.error(f"--trials: must be >= 1, got {ns.trials}")
-    if ns.seed < 0:
-        parser.error(f"--seed: must be >= 0, got {ns.seed}")
+        if value is not None and value < least:
+            parser.error(f"{flag}: must be >= {least}, got {value}")
     if ns.action == "solve" and ns.max_desks is None:
         parser.error("solve requires --max-desks")
     if ns.action == "solve" and ns.overhead.units < ns.max_desks:
@@ -359,7 +357,9 @@ def _to_csv(report: CapitalReport) -> str:
 def emit_report(
     report: CapitalReport, fmt: str = "json", out: str | None = None
 ) -> str:
-    """Serialize a report to JSON or CSV; write to ``out`` or stdout."""
+    """Serialize a report as "json" or "csv" (else ValueError); write to ``out`` or stdout."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown report format {fmt!r}; use json or csv")
     text = _to_json(report) if fmt == "json" else _to_csv(report)
     if out is None:
         sys.stdout.write(text)

@@ -429,16 +429,20 @@ def mass_in(model: LossModel, iv: Interval) -> float:
     return model.law.mass(*model.law.span(iv))
 
 
-def _require_seed(seed: int) -> None:
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidBounds(f"seed must be >= 0, as an integer, got {seed!r}")
+_SEED = "seed must be >= 0, as an integer"
+
+
+def _require_int(value, least: int, what: str, error=InvalidBounds) -> int:
+    """``int(value)`` for a non-bool integer >= ``least``; anything else raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{what}, got {value!r}")
+    return int(value)
 
 
 def sample(model: LossModel, seed: int, n: int) -> np.ndarray:
     """Draw ``n`` losses; identical (model, seed, n) gives identical output."""
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidBounds(f"sample size must be >= 1, as an integer, got {n!r}")
-    _require_seed(seed)
+    n = _require_int(n, 1, "sample size must be >= 1, as an integer")
+    seed = _require_int(seed, 0, _SEED)
     return model.law.sample(np.random.default_rng(seed), n)
 
 

@@ -8,7 +8,6 @@ unit is zero even though the whole book is fully covered.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,8 @@ from .loss_model import (  # MASS_GUARD stays importable from here
     Interval,
     LossModel,
     UniformLaw,
-    _require_seed,
+    _SEED,
+    _require_int,
     intervals_from_cuts,
     level_weight,
     mass_in,
@@ -39,9 +39,7 @@ from .risk_measures import (
 )
 
 
-def _require_units(n: int) -> None:
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidBounds(f"need at least one subsidiary, as an integer, got {n!r}")
+_SUBSIDIARIES = "need at least one subsidiary, as an integer"
 
 
 def _mass_ok(mass: float, alpha: float) -> bool:
@@ -97,10 +95,9 @@ class RandomizedScheme:
     seed: int
 
     def __post_init__(self):
-        _require_units(self.subsidiaries)
-        _require_seed(self.seed)
-        object.__setattr__(self, "subsidiaries", int(self.subsidiaries))
-        object.__setattr__(self, "seed", int(self.seed))
+        units = _require_int(self.subsidiaries, 1, _SUBSIDIARIES)
+        object.__setattr__(self, "subsidiaries", units)
+        object.__setattr__(self, "seed", _require_int(self.seed, 0, _SEED))
 
 
 @dataclass(frozen=True)
@@ -159,8 +156,8 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
     """
     lvl = as_level(level)
     alpha = lvl.alpha
-    if n is not None and (not isinstance(n, numbers.Integral) or n < 1):
-        raise NInsufficient(f"tranche count must be an integer >= 1, got {n!r}")
+    if n is not None:
+        n = _require_int(n, 1, "tranche count must be an integer >= 1", NInsufficient)
     if isinstance(model.law, UniformLaw):
         n_min = min_subsidiaries(lvl)
         if n is None:
@@ -277,7 +274,7 @@ def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | 
     otherwise, so its quantile is a rescaled whole-book quantile once the
     activation probability eats into the tail budget.
     """
-    _require_units(subsidiaries)
+    subsidiaries = _require_int(subsidiaries, 1, _SUBSIDIARIES)
     alpha = as_level(level).alpha
     if _mass_ok(1.0 / subsidiaries, alpha):
         return 0.0
@@ -289,7 +286,7 @@ def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | 
 
 def randomized_unit_es(model: LossModel, subsidiaries: int, level: RiskLevel | float) -> float:
     """Expected shortfall of one subsidiary's loss under uniform routing."""
-    _require_units(subsidiaries)
+    subsidiaries = _require_int(subsidiaries, 1, _SUBSIDIARIES)
     alpha = as_level(level).alpha
     w0 = max(0.0, 1.0 - subsidiaries * (1.0 - alpha))
     return tail_integral(model, w0) / (subsidiaries * (1.0 - alpha))

@@ -9,6 +9,7 @@ prices the same law must still agree, and agree with ``fractions.Fraction``.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -94,6 +95,22 @@ def test_hundred_equal_atoms_at_99_percent():
 
 def test_hundred_samples_at_29_percent():
     assert var(empirical(range(1, 101)), 0.29) == 30.0
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 8: the 1e-12 guard lifts 0.9499999999999 * 10**6 past "
+    "the 950 000th sample, so var returns 950001.0"
+)
+def test_million_samples_just_below_95_percent():
+    assert var(empirical(np.arange(1, 10**6 + 1)), 0.9499999999999) == 950000.0
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 8: the 1e-12 guard holds the first atom's mass "
+    "0.5000000000004 from passing level 0.5, so var returns 2.0"
+)
+def test_atom_just_above_half_at_50_percent():
+    assert var(atoms([1, 2], [0.5000000000004, 0.4999999999996]), 0.5) == 1.0
 
 
 @given(

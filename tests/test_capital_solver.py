@@ -22,6 +22,7 @@ from varsplit import (
     decompose,
     distinct_atoms,
     empirical,
+    randomized_unit_var,
     solve_tranche_dp,
     solve_with_overhead,
     uniform,
@@ -314,6 +315,40 @@ def test_solver_matches_the_exact_row_reference(case):
     light or heavy, shows that the solver's one table over every atom
     prices and cuts it alike."""
     assert outcome(solve_with_overhead, case) == outcome(reference_solve, case)
+
+
+@st.composite
+def floor_cases(draw):
+    """A law as atoms or as samples, with no atom at 0, a light one or a heavy
+    one, its weights dyadic (total a power of two) or not; a level; a budget."""
+    m = draw(st.integers(1, 10))
+    values = sorted(draw(st.sets(st.integers(1, 60), min_size=m, max_size=m)))
+    weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    zero = draw(st.sampled_from([None, 1, 9 * sum(weights)]))
+    if zero is not None:
+        values, weights = [0, *values], [zero, *weights]
+    if draw(st.booleans()):
+        weights[-1] += (1 << (sum(weights) - 1).bit_length()) - sum(weights)
+    if draw(st.booleans()):
+        model = atoms(values, np.array(weights) / sum(weights))
+    else:
+        model = empirical(np.repeat(np.array(values, dtype=float), weights))
+    alpha = draw(st.sampled_from([0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97]))
+    return model, alpha, draw(st.integers(1, len(values) + 2))
+
+
+@settings(max_examples=300)
+@given(floor_cases())
+@example((atoms([0, 100], [0.5, 0.5]), 0.95, 11))  # floor 0.0, capital 100.0 at N = 11
+@example((atoms([0, 1, 2], [0.97, 0.01, 0.02]), 0.95, 3))  # both 0
+def test_capital_never_beats_the_unrestricted_floor(case):
+    """No split into N interval tranches costs less than the least summed
+    strict VaR of any N-unit split, q+(1 - N(1 - alpha)) (Embrechts, Liu and
+    Wang, 2018), which is the charge on one of N randomized subsidiaries."""
+    model, alpha, n = case
+    for units in range(1, n + 1):
+        floor = randomized_unit_var(model, units, alpha)
+        assert solve_tranche_dp(model, alpha, units).capital >= floor
 
 
 @pytest.mark.parametrize(

@@ -273,6 +273,17 @@ class TestEmitReport:
         text = emit_report(run(["var", *UNIFORM]), fmt="json", out=str(target))
         assert target.read_text(encoding="utf-8") == text
 
+    @pytest.mark.parametrize("fmt", ["JSON", "xml", "", None])
+    def test_unknown_format_is_refused_before_writing(self, fmt, tmp_path, capsys):
+        target = tmp_path / "report.out"
+        report = self._small_report([])
+        with pytest.raises(ValueError, match=f"unknown report format {fmt!r}"):
+            emit_report(report, fmt=fmt, out=str(target))
+        with pytest.raises(ValueError, match=f"unknown report format {fmt!r}"):
+            emit_report(report, fmt=fmt)
+        assert not target.exists()
+        assert capsys.readouterr().out == ""
+
     def test_serialization_is_deterministic(self):
         report = run(["simulate", *UNIFORM])
         assert emit_report(report, out="/dev/null") == emit_report(report, out="/dev/null")

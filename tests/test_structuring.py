@@ -440,9 +440,9 @@ class TestZeroCapitalProperty:
     ids=["partition", "solve_dp", "solve_overhead", "scheme", "unit_var", "unit_es"],
 )
 def test_unit_counts_must_be_integers(count_into, error):
-    """A fractional or float count is refused by name, never truncated or fed
-    to numpy; Python and numpy integers are both accepted."""
-    for bad in (2.5, 3.0, np.float64(3.0), "3"):
+    """A fractional, float, text or boolean count is refused by name, never
+    truncated or fed to numpy; Python and numpy integers are both accepted."""
+    for bad in (2.5, 3.0, np.float64(3.0), "3", True):
         with pytest.raises(error, match=re.escape(repr(bad))):
             count_into(bad)
     count_into(3)
@@ -459,9 +459,9 @@ def test_unit_counts_must_be_integers(count_into, error):
     ids=["sample_size", "sample_seed", "scheme_seed"],
 )
 def test_seeds_and_sample_sizes_must_be_integers(call):
-    """A fractional, float, text or negative value is refused by name, never
-    truncated or left to numpy's own errors; numpy integers are accepted."""
-    for bad in (2.5, 3.0, np.float64(3.0), "3", -1):
+    """A fractional, float, text, boolean or negative value is refused by name,
+    never truncated or left to numpy's own errors; numpy integers are accepted."""
+    for bad in (2.5, 3.0, np.float64(3.0), "3", -1, True, False):
         with pytest.raises(InvalidBounds, match=re.escape(repr(bad))):
             call(bad)
     call(3)
