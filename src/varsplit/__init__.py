@@ -51,7 +51,6 @@ from .loss_model import (
 )
 from .risk_measures import (
     RiskLevel,
-    additivity_gap,
     as_level,
     es_of_tranche,
     expected_shortfall,
@@ -64,6 +63,7 @@ from .structuring import (
     RandomizedScheme,
     SchemeValidity,
     TrancheDecomposition,
+    additivity_gap,
     build_partition,
     decompose,
     min_subsidiaries,

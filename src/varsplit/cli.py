@@ -40,7 +40,8 @@ from .loss_model import (
     order_stat_rank,
     sample,
 )
-from .risk_measures import RiskLevel, es_of_tranche, expected_shortfall, var
+from .risk_measures import RiskLevel, expected_shortfall, var
+from .risk_measures import es_of_tranche  # unused here; perfbench/tracing.py wraps it
 from .structuring import (
     RandomizedScheme,
     build_partition,
@@ -266,8 +267,7 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
             ).partition
         else:
             partition = build_partition(model, level, command.tranches)
-        intervals = partition.intervals()
-        emp = [None] * len(intervals)
+        emp = [None] * partition.n_tranches
         if command.action == "simulate":
             trials = command.trials
             losses = sample(model, _substream(command.seed, 0), trials)
@@ -276,10 +276,8 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
             emp = _unit_vars(losses, np.diff(below, prepend=0, append=trials), level)
         dec = decompose(model, partition, level)
         cuts = partition.cuts
-        rows = [
-            TrancheRow(float(mass), float(v), e, es_of_tranche(model, iv, level))
-            for mass, v, e, iv in zip(dec.masses, dec.tranche_vars, emp, intervals)
-        ]
+        columns = dec.masses.tolist(), dec.tranche_vars.tolist(), emp, dec.tranche_es.tolist()
+        rows = [TrancheRow(*row) for row in zip(*columns)]
     sum_vars = float(sum(row.var_analytic for row in rows))
     sum_es = float(sum(row.es_analytic for row in rows))
     return CapitalReport(

@@ -181,8 +181,9 @@ class DiscreteLaw:
     def mean_tail(self, p: float) -> float:
         return self.tail(*self.whole, p)
 
-    def es(self, alpha: float) -> float:
-        return self.mean_tail(alpha) / (1.0 - alpha)
+    def unit_es(self, a: int, b: int, alpha: float) -> float:
+        """Expected shortfall of X * 1{X among values[a:b]} at level alpha."""
+        return self.tail(a, b, alpha) / (1.0 - alpha)
 
     def cdf(self, x: float) -> float:
         return float(self.cum[np.searchsorted(self.values, x, side="right")]) / self.total
@@ -235,8 +236,11 @@ class UniformLaw:
     def mean_tail(self, p: float) -> float:
         return self.lower * (1.0 - p) + (self.upper - self.lower) * (1.0 - p * p) / 2.0
 
-    def es(self, alpha: float) -> float:
-        return self.lower + (self.upper - self.lower) * (1.0 + alpha) / 2.0
+    def unit_es(self, lo: float, hi: float, alpha: float) -> float:
+        """ES of X * 1{X in [lo, hi)}; the whole support reads the book's closed form."""
+        if (lo, hi) == self.whole:
+            return self.lower + (self.upper - self.lower) * (1.0 + alpha) / 2.0
+        return self.tail(lo, hi, alpha) / (1.0 - alpha)
 
     def cdf(self, x: float) -> float:
         if self.lower <= x < self.upper:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidLevel
-from .loss_model import Interval, LossModel, intervals_from_cuts, quantile_strict
+from .loss_model import Interval, LossModel, quantile_strict
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ def tail_integral(model: LossModel, p: float) -> float:
 
 def expected_shortfall(model: LossModel, level: RiskLevel | float) -> float:
     """Average of the strict quantile over the upper tail (alpha, 1)."""
-    return model.law.es(as_level(level).alpha)
+    law = model.law
+    return law.unit_es(*law.whole, as_level(level).alpha)
 
 
 def var_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> float:
@@ -71,26 +72,8 @@ def var_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> 
 def es_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> float:
     """Expected shortfall of the tranche loss X * 1{X in iv}.
 
-    A tranche that spans the whole support is the whole book, so it reads
-    :func:`expected_shortfall`'s closed form, which the uniform tranche
-    formula does not reproduce to the last bit.
+    A tranche that spans the whole support is the whole book, so it costs
+    exactly :func:`expected_shortfall`.
     """
-    alpha = as_level(level).alpha
     law = model.law
-    span = law.span(iv)
-    if span == law.whole:
-        return law.es(alpha)
-    return law.tail(*span, alpha) / (1.0 - alpha)
-
-
-def additivity_gap(model: LossModel, partition, level: RiskLevel | float) -> float:
-    """Sum of tranche quantiles minus the whole-book quantile.
-
-    ``partition`` is anything exposing increasing ``cuts`` (or a bare cut
-    sequence). A negative gap is the arbitrage: the parts are charged less
-    than the whole.
-    """
-    lvl = as_level(level)
-    cuts = getattr(partition, "cuts", partition)
-    pieces = [var_of_tranche(model, iv, lvl) for iv in intervals_from_cuts(cuts)]
-    return sum(pieces) - var(model, lvl)
+    return law.unit_es(*law.span(iv), as_level(level).alpha)

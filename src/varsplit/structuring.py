@@ -28,14 +28,15 @@ from .loss_model import (  # MASS_GUARD stays importable from here
     _require_int,
     intervals_from_cuts,
     level_weight,
-    mass_in,
+    mass_in,  # unused here; perfbench/tracing.py wraps it
     quantile_strict,
 )
 from .risk_measures import (
     RiskLevel,
     as_level,
     tail_integral,
-    var_of_tranche,
+    var,
+    var_of_tranche,  # unused here; perfbench/tracing.py wraps it
 )
 
 
@@ -75,16 +76,18 @@ class Partition:
 
 @dataclass(frozen=True, eq=False)
 class TrancheDecomposition:
-    """A partition applied to a model: per-tranche masses and quantiles."""
+    """A partition applied to a model: per-tranche masses, quantiles and ES."""
 
     model: LossModel
     partition: Partition
     masses: np.ndarray
     tranche_vars: np.ndarray
+    tranche_es: np.ndarray
 
     @property
     def total_capital(self) -> float:
-        return float(np.sum(self.tranche_vars))
+        """Summed tranche VaR, added in tranche order as the CLI report adds it."""
+        return sum(self.tranche_vars.tolist())
 
 
 @dataclass(frozen=True)
@@ -207,25 +210,36 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
 
 
 def decompose(model: LossModel, partition: Partition, level: RiskLevel | float) -> TrancheDecomposition:
-    """Apply a partition to a model: masses and per-tranche strict quantiles.
+    """Price each tranche's span once: its mass, strict quantile and ES.
 
     A partition from 0 to ``max_loss`` covers the support, so the masses are
     not checked to sum to 1, which atoms need only within ``PROB_TOL``.
     """
-    lvl = as_level(level)
+    alpha = as_level(level).alpha
     cuts = partition.cuts
     if cuts[-1] != model.max_loss:
         raise PartitionMismatch(
             f"partition ends at {cuts[-1]} but the support ends at {model.max_loss}"
         )
-    ivs = partition.intervals()
-    masses = np.array([mass_in(model, iv) for iv in ivs])
-    tranche_vars = np.array([var_of_tranche(model, iv, lvl) for iv in ivs])
-    masses.flags.writeable = False
-    tranche_vars.flags.writeable = False
-    return TrancheDecomposition(
-        model=model, partition=partition, masses=masses, tranche_vars=tranche_vars
-    )
+    law = model.law
+    spans = map(law.span, partition.intervals())
+    table = np.array(
+        [(law.mass(*s), law.unit_var(*s, alpha), law.unit_es(*s, alpha)) for s in spans]
+    ).T.copy()
+    table.flags.writeable = False
+    return TrancheDecomposition(model, partition, *table)
+
+
+def additivity_gap(model: LossModel, partition, level: RiskLevel | float) -> float:
+    """Summed tranche VaR of :func:`decompose` minus the whole-book VaR.
+
+    ``partition`` is a :class:`Partition` or its bare cuts, which must run
+    from 0 to the top of the support. A negative gap is the arbitrage: the
+    parts are charged less than the whole.
+    """
+    lvl = as_level(level)
+    dec = decompose(model, Partition(getattr(partition, "cuts", partition)), lvl)
+    return dec.total_capital - var(model, lvl)
 
 
 def split_realization(decomposition: TrancheDecomposition, x: float) -> np.ndarray:

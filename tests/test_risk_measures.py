@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from helpers import dyadic_weights, grid_uniform_samples, integer_samples, random_dyadic_atoms
 from varsplit import (
     Interval,
+    InvalidBounds,
     InvalidLevel,
     Partition,
+    PartitionMismatch,
     RiskLevel,
     additivity_gap,
     as_level,
     atoms,
     build_partition,
+    decompose,
     distinct_atoms,
     empirical,
     es_of_tranche,
@@ -281,6 +284,26 @@ class TestAdditivityGap:
         assert additivity_gap(U01, (0.0, 0.5, 1.0), 0.95) == pytest.approx(
             -0.95 + 0.45 + 0.95, abs=1e-12
         )
+
+    def test_refuses_cuts_that_do_not_cover_the_support(self):
+        """Cuts that stop short drop the 10-atom's mass and read as -5.0, a
+        false arbitrage; cuts past the top, or starting above 0, are refused too."""
+        for cuts in ((0.0, 7.0), (0.0, 5.0, 20.0)):
+            with pytest.raises(PartitionMismatch, match="ends at"):
+                additivity_gap(A3, cuts, 0.95)
+        with pytest.raises(InvalidBounds, match="must start at 0"):
+            additivity_gap(A3, (1.0, 10.0), 0.95)
+
+    def test_total_capital_is_the_reports_sum(self):
+        """Summed VaR adds the tranches in order, as the report's
+        ``sum_tranche_vars`` does; numpy's pairwise sum rounds differently here."""
+        values = [k / 7 for k in range(1, 11)]
+        model = atoms(values, [0.1] * 10)
+        cuts = (0.0, *[(a + b) / 2 for a, b in zip(values, values[1:])], values[-1])
+        dec = decompose(model, Partition(cuts), 0.95)
+        assert dec.total_capital == sum(dec.tranche_vars.tolist()) == 7.857142857142857
+        gap = additivity_gap(model, cuts, 0.95)
+        assert gap == dec.total_capital - var(model, 0.95) == 6.428571428571428
 
     def test_subadditive_direction_for_es(self):
         """Tranche ES never undercuts whole-book ES on tested partitions."""

@@ -22,6 +22,7 @@ from varsplit import (
     build_partition,
     decompose,
     empirical,
+    es_of_tranche,
     mass_in,
     min_subsidiaries,
     quantile_strict,
@@ -42,6 +43,8 @@ from varsplit.loss_model import PROB_TOL
 U01 = uniform(0.0, 1.0)
 SINGLE_ATOM_100 = atoms([100.0], [1.0])
 FIVE_FIFTHS = atoms([1.0, 2.0, 3.0, 4.0, 5.0], [0.2] * 5)
+EIGHTHS_FROM_0 = atoms(np.arange(8.0), np.full(8, 0.125))
+TIED = empirical([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0])
 
 
 @st.composite
@@ -68,6 +71,24 @@ def split_cases(draw):
     except AtomTooHeavy:
         reject()
     return model, alpha, draw(st.integers(greedy, m + 3))
+
+
+@st.composite
+def priced_splits(draw):
+    """A model, a level and a partition: a ``build_partition`` split of an
+    atoms or empirical model (ties, an atom at 0, empty slivers), an
+    equal-mass split of a uniform model, or one tranche over the support."""
+    if draw(st.booleans()):
+        model, alpha, n = draw(split_cases())
+        part = build_partition(model, alpha, n)
+    else:
+        lower = draw(st.one_of(st.sampled_from([0.0, 1.0 / 3.0, 7.3]), st.floats(0.0, 10.0)))
+        model = uniform(lower, lower + draw(st.floats(0.1, 50.0)))
+        alpha = draw(st.sampled_from([0.5, 0.75, 0.9, 0.95]))
+        part = build_partition(model, alpha, min_subsidiaries(alpha) + draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        part = Partition((0.0, model.max_loss))
+    return model, alpha, part
 
 
 def flat_64_atoms():
@@ -257,6 +278,24 @@ class TestDecompose:
             decompose(U01, Partition((0.0, 0.5)), 0.95)
         with pytest.raises(PartitionMismatch, match="ends at"):
             decompose(U01, Partition((0.0, 2.0)), 0.95)
+
+    @given(priced_splits())
+    @example((EIGHTHS_FROM_0, 0.5, build_partition(EIGHTHS_FROM_0, 0.5, 11)))
+    @example((TIED, 0.6, build_partition(TIED, 0.6, 7)))
+    @example((uniform(2.0, 3.0), 0.95, Partition((0.0, 3.0))))
+    @example((FIVE_FIFTHS, 0.95, Partition((0.0, 5.0))))
+    def test_columns_match_the_single_tranche_functions(self, case):
+        """Each column equals its one-tranche function on every interval, bit for bit."""
+        model, alpha, part = case
+        dec = decompose(model, part, alpha)
+        got = zip(dec.masses.tolist(), dec.tranche_vars.tolist(), dec.tranche_es.tolist())
+        want = [
+            (mass_in(model, iv), var_of_tranche(model, iv, alpha), es_of_tranche(model, iv, alpha))
+            for iv in part.intervals()
+        ]
+        assert [[float.hex(x) for x in row] for row in got] == [
+            [float.hex(x) for x in row] for row in want
+        ]
 
 
 class TestSplitRealization:
