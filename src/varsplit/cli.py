@@ -24,14 +24,13 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .capital_solver import OverheadSchedule, solve_with_overhead
 from .errors import VarsplitError
 from .loss_model import (
-    LossModel,
     build_model,
     cdf,
     describe,
@@ -87,6 +86,13 @@ class CapitalReport:
     trials: int
     seed: int
     restriction_note: str = RESTRICTION_NOTE
+
+
+#: The CSV's last columns, after the TrancheRow fields; only the totals row fills them.
+REPORT_COLUMNS = (
+    "var_total", "es_total", "additivity_gap", "alpha", "trials", "seed",
+    "restriction_note",
+)
 
 
 def _parse_dist(text: str) -> dict:
@@ -208,12 +214,6 @@ def _substream(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed, stream]).generate_state(1, np.uint64)[0])
 
 
-def _load_model(command: argparse.Namespace) -> LossModel:
-    if command.model_spec is not None:
-        return build_model(command.model_spec)
-    return load_losses_csv(command.input_path)
-
-
 def _unit_vars(ranked: np.ndarray, hits: np.ndarray, level: RiskLevel) -> list[float]:
     """Empirical VaR of each unit's loss: its own hits, zero in other trials.
 
@@ -236,7 +236,8 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
     Every command yields its cuts, one row per unit and its Monte Carlo trial
     count; the whole-book totals and the sums over the rows are shared.
     """
-    model = _load_model(command)
+    spec = command.model_spec
+    model = build_model(spec) if spec is not None else load_losses_csv(command.input_path)
     level = RiskLevel(command.alpha)
     var_total = var(model, level)
     es_total = expected_shortfall(model, level)
@@ -297,57 +298,23 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
 
 
 def _to_json(report: CapitalReport) -> str:
-    fields = {**vars(report), "tranches": [vars(row) for row in report.tranches]}
-    return json.dumps(fields, indent=2) + "\n"
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    doc = {**vars(report), "tranches": [vars(row) for row in report.tranches]}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _to_csv(report: CapitalReport) -> str:
+    """Unit rows, then a totals row; csv.writer writes None as "" and a float by repr."""
+    mass = float(sum(row.mass for row in report.tranches))
+    emp = [row.var_empirical for row in report.tranches]
+    emp_total = float(sum(emp)) if emp and None not in emp else None
+    total = TrancheRow(mass, report.sum_tranche_vars, emp_total, report.sum_tranche_es)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "tranche", "mass", "var_analytic", "var_empirical", "es_analytic",
-            "var_total", "es_total", "additivity_gap", "alpha", "trials",
-            "seed", "restriction_note",
-        ]
-    )
-    emp_values = [row.var_empirical for row in report.tranches]
+    writer.writerow(["tranche", *(f.name for f in fields(TrancheRow)), *REPORT_COLUMNS])
     for i, row in enumerate(report.tranches, start=1):
-        writer.writerow(
-            [
-                i, _cell(row.mass), _cell(row.var_analytic),
-                _cell(row.var_empirical), _cell(row.es_analytic),
-                "", "", "", "", "", "", "",
-            ]
-        )
-    emp_total = (
-        float(sum(emp_values))
-        if emp_values and all(v is not None for v in emp_values)
-        else None
-    )
+        writer.writerow([i, *vars(row).values(), *[None] * len(REPORT_COLUMNS)])
     writer.writerow(
-        [
-            "total",
-            _cell(float(sum(row.mass for row in report.tranches))),
-            _cell(report.sum_tranche_vars),
-            _cell(emp_total),
-            _cell(report.sum_tranche_es),
-            _cell(report.var_total),
-            _cell(report.es_total),
-            _cell(report.additivity_gap),
-            _cell(report.alpha),
-            report.trials,
-            report.seed,
-            report.restriction_note,
-        ]
+        ["total", *vars(total).values(), *(getattr(report, c) for c in REPORT_COLUMNS)]
     )
     return buf.getvalue()
 

@@ -103,8 +103,8 @@ class DiscreteLaw:
     Atom lists carry their probabilities over a total of 1; empirical data
     carries integer counts over a total of n, so every prefix weight of a
     sample is exact. ``cum[k]`` is the weight of ``values[:k]``; ``cum[0]``
-    is 0 and ``cum[-1]`` is pinned to ``total`` so that the top of the
-    support absorbs any rounding dust.
+    is 0, no prefix exceeds ``total`` and ``cum[-1]`` is pinned to it, so
+    that the top of the support absorbs any rounding dust.
     """
 
     values: np.ndarray
@@ -115,6 +115,7 @@ class DiscreteLaw:
     @classmethod
     def of(cls, values: np.ndarray, weights: np.ndarray, total: float) -> DiscreteLaw:
         cum = np.concatenate(([0.0], np.cumsum(weights)))
+        np.minimum(cum, total, out=cum)
         cum[-1] = total
         return cls(values, weights, _readonly(cum), float(total))
 

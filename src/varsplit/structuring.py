@@ -144,9 +144,18 @@ def min_subsidiaries(level: RiskLevel | float) -> int:
 
 
 def _cuts_between(values: np.ndarray, ends: list[int], top: float) -> list[float]:
-    """Cuts 0, then midway after every group end but the last, then ``top``."""
-    mids = [(float(values[e - 1]) + float(values[e])) / 2.0 for e in ends[:-1]]
-    return [0.0, *mids, float(top)]
+    """Cuts 0, then one after every group end but the last, then ``top``.
+
+    Atoms a < b of adjacent groups meet at their midpoint when it lies
+    strictly between a and ``top``, else at b, which a value on a cut routes
+    up into its group; no float cut separates a from b when b is ``top``.
+    """
+    pairs = [(float(values[e - 1]), float(values[e])) for e in ends[:-1]]
+    cuts = [0.0, *((a + b) / 2.0 if a < (a + b) / 2.0 < top else b for a, b in pairs)]
+    if pairs and cuts[-1] >= top:
+        a = pairs[-1][0]
+        raise InvalidBounds(f"no float cut separates {a!r} from {top!r}, the top loss")
+    return [*cuts, float(top)]
 
 
 def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = None) -> Partition:

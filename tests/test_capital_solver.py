@@ -100,10 +100,14 @@ class TestSolveTrancheDp:
     def test_partition_reprices_to_the_reported_capital(self):
         """Decomposing the returned cuts reproduces the DP value exactly."""
         rng = np.random.default_rng(602)
-        for _ in range(25):
-            model = random_dyadic_atoms(rng)
-            alpha = float(rng.choice([0.9, 0.95, 0.99]))
-            n = int(rng.integers(1, 5))
+        cases = [
+            (random_dyadic_atoms(rng), float(rng.choice([0.9, 0.95, 0.99])),
+             int(rng.integers(1, 5)))
+            for _ in range(25)
+        ]
+        # 0.1 * 7 is the float just above 0.7, so the midpoint of the two is 0.7
+        cases.append((atoms([0.7, 0.1 * 7, 5.0], [0.3, 0.3, 0.4]), 0.5, 3))
+        for model, alpha, n in cases:
             res = solve_tranche_dp(model, alpha, n)
             total = sum(
                 var_of_tranche(model, iv, alpha)

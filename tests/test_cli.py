@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from varsplit import OverheadSchedule
@@ -261,6 +262,41 @@ class TestEmitReport:
         assert lines[0].startswith("tranche,mass,var_analytic")
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
         assert lines[3].startswith("total,")
+
+    @pytest.mark.parametrize(
+        "source, body",
+        [
+            (
+                ["simulate", *UNIFORM, "--alpha", "0.5", "--trials", "4", "--seed", "12"],
+                "1,0.3333333333333333,0.0,0.004028527819599059,0.1111111111111111,,,,,,,\n"
+                "2,0.3333333333333333,0.0,0.4716858339284439,0.33333333333333326,,,,,,,\n"
+                "3,0.33333333333333337,0.0,0.0,0.5555555555555556,,,,,,,\n"
+                "total,1.0,0.0,0.47571436174804294,1.0,0.5,0.75,-0.5,0.5,4,12,",
+            ),
+            (
+                ["randomize", *UNIFORM, "--alpha", "0.5", "--subsidiaries", "2",
+                 "--trials", "8", "--seed", "1"],
+                "1,0.5,0.0,0.15048132893400756,0.5,,,,,,,\n"
+                "2,0.5,0.0,0.02567608527090859,0.5,,,,,,,\n"
+                "total,1.0,0.0,0.17615741420491615,1.0,0.5,0.75,-0.5,0.5,8,1,",
+            ),
+            ((), "total,0.0,0.0,,5.0,5.0,5.0,-5.0,0.95,0,42,"),
+            (
+                (TrancheRow(*np.array([0.5, 0.0, 0.5, 2.5])),),
+                "1,0.5,0.0,0.5,2.5,,,,,,,\ntotal,0.5,0.0,0.5,5.0,5.0,5.0,-5.0,0.95,0,42,",
+            ),
+        ],
+        ids=["simulate", "randomize", "no-rows", "numpy-floats"],
+    )
+    def test_csv_bytes(self, source, body):
+        """The whole CSV text; every float reads back bit for bit, numpy's too."""
+        report = run(source) if isinstance(source, list) else self._small_report(source)
+        header = (
+            "tranche,mass,var_analytic,var_empirical,es_analytic,var_total,es_total,"
+            "additivity_gap,alpha,trials,seed,restriction_note\n"
+        )
+        text = emit_report(report, fmt="csv", out="/dev/null")
+        assert text == header + body + RESTRICTION_NOTE + "\n"
 
     def test_csv_blank_cells_for_missing_empirical(self):
         report = run(["solve", *THREE_ATOMS, "--max-desks", "2"])

@@ -225,14 +225,16 @@ class TestCdf:
             cdf(model, float("nan"))
 
     def test_nondecreasing_on_probe_grid(self):
-        """cdf must be monotone over a dense grid for all three variants."""
+        """cdf must be monotone over a dense grid across the support for all
+        three variants, and for atoms whose prefix sums pass the total."""
         grid = np.linspace(-0.1, 1.1, 10**4)
         for model in (
             uniform(0.0, 1.0),
             atoms([0.0, 0.25, 0.5, 1.0], [0.1, 0.4, 0.3, 0.2]),
             empirical([0.0, 0.2, 0.2, 0.7, 1.0]),
+            atoms([1.0, 2.0, 3.0], [0.6, 0.4000000000005, 1e-15]),
         ):
-            vals = np.array([cdf(model, float(x)) for x in grid])
+            vals = np.array([cdf(model, float(x)) for x in grid * model.max_loss])
             assert np.all(np.diff(vals) >= 0.0)
 
     def test_right_continuous_at_atoms(self):

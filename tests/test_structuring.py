@@ -235,6 +235,21 @@ class TestBuildPartitionDiscrete:
         dec = decompose(model, part, 0.9)
         assert dec.total_capital == 0.0
         assert np.all(dec.masses < 0.1)
+        # 0.1 * 7 is the float just above 0.7; the cut between them lands on it
+        model = empirical([0.7] * 3 + [0.1 * 7] * 3 + [5.0] * 4)
+        dec = decompose(model, build_partition(model, 0.5), 0.5)
+        assert dec.partition.cuts == (0.0, 0.1 * 7, 2.85, 5.0)
+        assert np.all(dec.masses < 0.5)
+
+    @pytest.mark.parametrize("low", [0.7, 0.3])
+    def test_no_float_cut_separates_the_top_atom_from_its_neighbour(self, low):
+        top = float(np.nextafter(low, np.inf))
+        model = atoms([low, top], [0.5, 0.5])
+        message = re.escape(f"no float cut separates {low!r} from {top!r}")
+        with pytest.raises(InvalidBounds, match=message):
+            build_partition(model, 0.4)
+        with pytest.raises(InvalidBounds, match=message):
+            solve_tranche_dp(model, 0.4, 2)
 
 
 class TestDecompose:
