@@ -13,24 +13,34 @@ itself leaves the collector alone: tests and library callers run it in
 their own process, where frozen objects would stay out of collection for
 the rest of that process. ``run`` also flushes stdout itself, so a reader
 that closes the pipe early gives exit status 1 and one ``error:`` line.
+
+An ``--input`` book is parsed once per file content: :func:`_load_book`
+keeps its law in the user's cache directory, and a later command on the
+same bytes reads it back instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import io
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
 from .capital_solver import OverheadSchedule, solve_with_overhead
 from .errors import VarsplitError
 from .loss_model import (
+    DiscreteLaw,
+    LossModel,
+    _empirical_runs,
     build_model,
     cdf,
     describe,
@@ -230,6 +240,97 @@ def _unit_vars(ranked: np.ndarray, hits: np.ndarray, level: RiskLevel) -> list[f
     ]
 
 
+#: Leads every book key; a new tag (after a change to the CSV rules or to the
+#: entry layout) makes every older entry miss.
+BOOK_FORMAT = b"varsplit empirical law: float64 values then run starts, v1\n"
+
+
+def _book_key(path: str) -> str | None:
+    """SHA-256 of the format tag, the csv field size limit and the file's
+    bytes, read in 1 MiB blocks; None when the file cannot be read."""
+    import hashlib  # here, so only --input pays the ~4 ms of loading OpenSSL
+
+    digest = hashlib.sha256(BOOK_FORMAT + b"%d\n" % csv.field_size_limit())
+    block = bytearray(1 << 20)
+    try:
+        with open(path, "rb") as fh:
+            while size := fh.readinto(block):
+                digest.update(memoryview(block)[:size])
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _read_entry(entry: Path) -> LossModel | None:
+    """The model a cache entry stores, or None when it is missing or unsound.
+
+    A sound entry is one float64 vector holding no negative number and no
+    -0.0: m finite, strictly increasing values, then their m + 1 run
+    starts, integers rising strictly from 0 to the sample size n < 2**53.
+    """
+    try:
+        with entry.open("rb") as fh:
+            arr = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if not (
+        isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        and arr.ndim == 1 and arr.size >= 3 and arr.size % 2 == 1
+    ):
+        return None
+    values, cum = np.split(arr, [arr.size // 2])
+    sound = (
+        not np.signbit(arr).any() and np.isfinite(values).all()
+        and (np.diff(values) > 0.0).all()
+        and cum[0] == 0.0 and (np.diff(cum) > 0.0).all()
+        and (np.floor(cum) == cum).all() and cum[-1] < 2.0**53
+    )
+    return _empirical_runs(values, cum) if sound else None
+
+
+def _write_entry(entry: Path, law: DiscreteLaw) -> None:
+    """Store the law's values and run starts at ``entry``: a temp file beside
+    it, then a rename, so a reader never sees half an entry. Any OS error
+    leaves the cache as it was."""
+    tmp = None
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, np.concatenate((law.values, law.cum)), allow_pickle=False)
+        os.replace(tmp, entry)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _load_book(path: str) -> LossModel:
+    """:func:`load_losses_csv` of ``path``, read once per file content.
+
+    A regular file's law is kept under its :func:`_book_key` in
+    ``varsplit/books`` of the user's cache directory (``$XDG_CACHE_HOME``,
+    or ``~/.cache`` when that is unset or relative), so a later command on
+    the same bytes rebuilds the model without parsing. An entry is written
+    only after a parse that succeeds, and only when the file hashes alike
+    after the parse; a pipe, an unreadable file or a cache that cannot be
+    written just parses, with the same output.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.expanduser("~/.cache")
+    key = _book_key(path) if os.path.isfile(path) and os.path.isabs(base) else None
+    if key is None:
+        return load_losses_csv(path)
+    entry = Path(base, "varsplit", "books", f"{key}.npy")
+    model = _read_entry(entry)
+    if model is None:
+        model = load_losses_csv(path)
+        if _book_key(path) == key:
+            _write_entry(entry, model.law)
+    return model
+
+
 def run_simulation(command: argparse.Namespace) -> CapitalReport:
     """Execute the argparse namespace from :func:`parse_cli`; gather the report.
 
@@ -237,7 +338,7 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
     count; the whole-book totals and the sums over the rows are shared.
     """
     spec = command.model_spec
-    model = build_model(spec) if spec is not None else load_losses_csv(command.input_path)
+    model = build_model(spec) if spec is not None else _load_book(command.input_path)
     level = RiskLevel(command.alpha)
     var_total = var(model, level)
     es_total = expected_shortfall(model, level)

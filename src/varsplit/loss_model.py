@@ -358,10 +358,17 @@ def _empirical_owned(samples: np.ndarray) -> LossModel:
         np.take(samples, starts, out=values[1:])
         cum = np.concatenate(([0.0], starts, [samples.size]))
         del starts
-    law = DiscreteLaw(values, np.diff(cum), cum, float(samples.size))
+    return _empirical_runs(values, cum)
+
+
+def _empirical_runs(values: np.ndarray, cum: np.ndarray) -> LossModel:
+    """The empirical model of a sorted sample given as its runs: ``values[k]``
+    fills positions ``cum[k]`` to ``cum[k + 1]``. Takes both arrays as they
+    are and freezes them; the caller vouches that they describe a sample."""
+    law = DiscreteLaw(values, np.diff(cum), cum, float(cum[-1]))
     for arr in (law.values, law.weights, law.cum):
         arr.flags.writeable = False
-    return LossModel(law, f"empirical:n={samples.size}")
+    return LossModel(law, f"empirical:n={int(cum[-1])}")
 
 
 def uniform(lower: float, upper: float) -> LossModel:

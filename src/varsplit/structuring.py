@@ -213,8 +213,16 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
     if extra > 0:
         # All groups are single atoms; spend the leftover tranche budget on
         # empty slivers between the first atom and the first cut above it.
-        slivers = np.linspace(float(vals[0]), cuts[1], extra + 2)[1:-1]
-        cuts = [cuts[0], *map(float, slivers), *cuts[1:]]
+        # A sliver may land on the first atom when it is above 0; the cuts
+        # from 0 up to the first cut must still rise strictly.
+        lo, hi = float(vals[0]), cuts[1]
+        slivers = np.linspace(lo, hi, extra + 2)[1:-1].tolist()
+        if not all(a < b for a, b in zip([0.0, *slivers], [*slivers, hi])):
+            raise NInsufficient(
+                f"cannot make {n} tranches: {extra} empty ones do not fit "
+                f"between {lo!r} and {hi!r} as distinct float cuts"
+            )
+        cuts = [cuts[0], *slivers, *cuts[1:]]
     return Partition(tuple(cuts))
 
 

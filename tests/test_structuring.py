@@ -220,6 +220,18 @@ class TestBuildPartitionDiscrete:
         assert dec.total_capital == 0.0
         assert np.sum(dec.masses == 0.0) == 3
 
+    def test_slivers_that_floats_cannot_hold_are_refused_by_count(self):
+        """0.1 * 7 is the float just above 0.7, and the first cut lands on it:
+        one empty tranche still fits, on 0.7 itself; two do not."""
+        model = atoms([0.7, 0.1 * 7, 5.0], [0.3, 0.3, 0.4])
+        assert build_partition(model, 0.5, 4).cuts == (0.0, 0.7, 0.1 * 7, 2.85, 5.0)
+        message = (
+            "cannot make 5 tranches: 2 empty ones do not fit "
+            "between 0.7 and 0.7000000000000001 as distinct float cuts"
+        )
+        with pytest.raises(NInsufficient, match=f"^{re.escape(message)}$"):
+            build_partition(model, 0.5, 5)
+
     @given(split_cases())
     @example((atoms(np.arange(1.0, 9.0), np.full(8, 0.125)), 0.1, 6))
     def test_split_matches_the_pair_list_reference(self, case):
