@@ -5,23 +5,31 @@ most n contiguous groups and charge each group its strict quantile. Whether a
 wider class of decompositions (randomized ones included) can do better is not
 answered by this module, and every report built on it carries that caveat.
 
-The dynamic program exploits one structural fact: the strict quantile of a
-group of sorted atoms depends only on its right edge, once the group is not
-free. :meth:`DiscreteLaw.groups` holds that fact as one table over every
+:meth:`DiscreteLaw.groups` prices every group as one table over every
 distinct atom, an atom at 0 included: under the boundary rule of
-:func:`level_weight`, the group starting at atom a is free up to the end
-``reach[a]``, and a costly group ending at b pays ``price[b - 1]``.
+:func:`level_weight`, the group ``values[a:b]`` is free when
+``b < reach[a]``, and a costly group ending at b pays ``price[b - 1]``,
+whatever its start. ``reach`` and ``price`` never fall, so a part of a free
+group is free.
 
-Row r of its suffix table holds, at atom i, the cheapest cover of atoms
-i..m by at most r groups, min(exactly r groups, row r - 1), with the empty
-suffix at 0. Each row is a few numpy calls on the one before, and the pass
-stops before the first row equal to the one before it. That one stop also
-ends a pass that reaches capital 0: rows never rise with i and no cost is
-negative, so a row with capital 0 is all zeros and the next row equals it.
-For R rows over m atoms, time is O(R x m) in O(R) numpy calls. Memory is
-O(m x sqrt(rmax)), where rmax = min(n, m) bounds R for a budget of n groups:
-one row in every ceil(sqrt(rmax)) is kept as a checkpoint for the walk that
-recovers the group ends.
+That gives the optimum in closed form. The rightmost costly group of any
+cover can take in every group to its left: the merged group is still
+costly, pays the same and uses fewer groups. So a cover with the fewest
+groups at its capital has at most one costly group, and that group comes
+first. Let ``starts[c]`` be the least atom from which c free groups cover the
+rest of the support: ``starts[0] = m``, and each step takes the least atom a
+with ``starts[c] < reach[a]``. Then N groups cost 0 when ``starts[N]`` is 0,
+and ``price[starts[N - 1] - 1]`` otherwise. In a cheapest cover with the
+fewest groups g, every group after the first is free, so its i-th end is at
+least ``starts[g - i]``; the ends ``starts[g - 1], ..., starts[0]`` meet every
+such bound, so their cuts are the lexicographically smallest. The walk stops
+at 0, at a start it cannot lower, or at the budget: O(m log m) time and O(m)
+memory.
+
+One end has no float cut (:func:`_cut_after`): m - 1, when the top atom's
+float neighbour sits just below it. A walk that would end a group there
+stops before it instead, which leaves one costly group paying
+``price[m - 1]``; every cover that keeps the pair together pays that much.
 """
 
 from __future__ import annotations
@@ -34,9 +42,9 @@ import numpy as np
 from .errors import InvalidBounds, TooManyAtoms
 from .loss_model import LossModel, _require_int, discrete_law
 from .risk_measures import RiskLevel, as_level
-from .structuring import Partition, _cuts_between
+from .structuring import Partition, _cut_after, _cuts_between
 
-#: Largest finite support the dynamic program accepts.
+#: Largest finite support the solver accepts.
 MAX_SOLVER_ATOMS = 5000
 
 
@@ -105,75 +113,6 @@ class SolveResult:
     objective: float
 
 
-def _next_row(prev: np.ndarray, price: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Row r of the suffix table (index 1..m + 1) from row r - 1.
-
-    A row never rises with i, since dropping a group's first atom never raises
-    its price. So free groups i..j (j < reach[i - 1]) meet row r - 1 at
-    prev[reach[i - 1]], and costly ones at the right-to-left minimum of
-    price[j - 1] + prev[j + 1] read at reach[i - 1]. As reach[i - 1] >= i,
-    prev[reach[i - 1]] <= prev[i] also covers "fewer than r groups".
-    """
-    costly = np.full(prev.size, np.inf)
-    np.add(price, prev[2:], out=costly[1:-1])
-    costly = np.minimum.accumulate(costly[::-1])[::-1]
-    cur = prev.copy()
-    np.minimum(prev[reach], costly[reach], out=cur[1:-1])
-    return cur
-
-
-def _dp_rows(reach: np.ndarray, price: np.ndarray, rmax: int):
-    """Capitals caps[r] with at most r groups, plus every step-th row.
-
-    Stops before the first row equal to the one before it: the recurrence is
-    a fixed map, so every later row equals it too. A row with capital 0 is all
-    zeros (rows never rise with i and no cost is negative), so the row after
-    it repeats it and the same stop ends the pass there. Keeping one row in
-    every step = ceil(sqrt(rmax)) bounds memory by O(m x sqrt(rmax)); time is
-    O(rows x m) in numpy calls.
-    """
-    step = math.isqrt(rmax - 1) + 1
-    row = np.append(np.full(price.size + 1, np.inf), 0.0)
-    caps, marks = [np.inf], [row]
-    for r in range(1, rmax + 1):
-        cur = _next_row(row, price, reach)
-        if np.array_equal(cur, row):
-            break
-        row = cur
-        caps.append(float(row[1]))
-        if r % step == 0:
-            marks.append(row)
-    return caps, marks, step
-
-
-def _walk_ends(marks, step, reach, price, gstar, target) -> list[int]:
-    """Group ends of the lexicographically smallest cut vector at the optimum.
-
-    Group i..j is free when j < reach[i - 1], as in :func:`_next_row`. Rows
-    gstar - 1 down to 0 are rebuilt one block of at most step rows at a time
-    from their checkpoints: at most one more pass. Candidates reuse the
-    table's own expressions, so the equality test is exact. No optimal cover
-    has fewer than gstar groups, so each match spends exactly one.
-    """
-    ends, i, block = [], 1, []
-    for r in range(gstar, 0, -1):
-        if not block:
-            block = [marks[(r - 1) // step]]
-            for _ in range((r - 1) % step):
-                block.append(_next_row(block[-1], price, reach))
-        nxt = block.pop()
-        for j in range(i, price.size + 1):
-            cand = nxt[j + 1] if j < reach[i - 1] else price[j - 1] + nxt[j + 1]
-            if cand == target:
-                ends.append(j)
-                target = nxt[j + 1]
-                i = j + 1
-                break
-        else:
-            raise AssertionError("suffix table reconstruction lost the optimum")
-    return ends
-
-
 def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> SolveResult:
     """Cheapest split of the support into at most n contiguous tranches.
 
@@ -193,10 +132,11 @@ def solve_with_overhead(
 ) -> SolveResult:
     """Minimize capital(N) + overhead(N) over unit counts N = 1..n_max.
 
-    capital(N) is the cheapest split into at most N tranches, caps[N] of one
-    DP pass. Past its last row capital stays put and a nondecreasing schedule
-    costs no less, so no larger N can win. Ties go to smaller N, so the
-    winning N always equals the number of groups its partition uses.
+    capital(N) is the cheapest split into at most N tranches, caps[N] of the
+    walk over free groups. Past the walk's end capital stays put and a
+    nondecreasing schedule costs no less, so no larger N can win. Ties go to
+    smaller N, so the winning N always equals the number of groups its
+    partition uses.
     """
     n_max = _require_int(n_max, 1, "need at least one unit, as an integer")
     sched = overhead if overhead is not None else OverheadSchedule.none()
@@ -214,12 +154,23 @@ def solve_with_overhead(
     if law.upper == 0.0:
         raise InvalidBounds("all loss mass sits at zero; there is nothing to split")
     price, reach = law.groups(lvl.alpha)
-    caps, marks, step = _dp_rows(reach, price, min(n_max, price.size))
+    m = price.size
+    # first[s]: the least atom a whose group values[a:s] is free; s if none is
+    first = np.searchsorted(reach, np.arange(1, m + 2)).tolist()
+    if m > 1 and first[m] == m - 1 and _cut_after(law.values, m - 1, model.max_loss) is None:
+        first[m] = m  # no float cut parts the top atom from its neighbour
+    starts = [m]
+    for _ in range(n_max):
+        starts.append(first[starts[-1]])
+        if starts[-1] in (0, starts[-2]):
+            break
+    caps = [math.inf]  # caps[N] = capital(N), the lemma's one costly group first
+    caps += [0.0 if s == 0 else float(price[t - 1]) for t, s in zip(starts, starts[1:])]
     objs = [caps[n] + sched.cost(n) for n in range(1, len(caps))]
     best = int(np.argmin(objs))  # the first minimum: ties go to smaller N
     capital = caps[best + 1]
     groups = caps.index(capital)
-    ends = _walk_ends(marks, step, reach, price, groups, capital)
+    ends = starts[groups - 1 :: -1]
     partition = Partition(_cuts_between(law.values, ends, model.max_loss))
     return SolveResult(
         best_n=groups, partition=partition, capital=capital, objective=objs[best]

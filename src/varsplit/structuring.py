@@ -143,19 +143,27 @@ def min_subsidiaries(level: RiskLevel | float) -> int:
     return hi
 
 
-def _cuts_between(values: np.ndarray, ends: list[int], top: float) -> list[float]:
-    """Cuts 0, then one after every group end but the last, then ``top``.
+def _cut_after(values: np.ndarray, end: int, top: float) -> float | None:
+    """The cut between the groups that meet at ``end``, or None if none exists.
 
-    Atoms a < b of adjacent groups meet at their midpoint when it lies
-    strictly between a and ``top``, else at b, which a value on a cut routes
-    up into its group; no float cut separates a from b when b is ``top``.
+    Atoms a < b on either side meet at their midpoint when it lies strictly
+    between a and ``top``, else at b, which a value on a cut routes up into
+    its group; no float cut separates a from b when b is ``top``. The
+    midpoint is taken by halves only where a + b overflows.
     """
-    pairs = [(float(values[e - 1]), float(values[e])) for e in ends[:-1]]
-    cuts = [0.0, *((a + b) / 2.0 if a < (a + b) / 2.0 < top else b for a, b in pairs)]
-    if pairs and cuts[-1] >= top:
-        a = pairs[-1][0]
+    a, b = float(values[end - 1]), float(values[end])
+    mid = (a + b) / 2.0 if math.isfinite(a + b) else a / 2.0 + b / 2.0
+    cut = mid if a < mid < top else b
+    return cut if cut < top else None
+
+
+def _cuts_between(values: np.ndarray, ends: list[int], top: float) -> list[float]:
+    """Cuts 0, then :func:`_cut_after` every group end but the last, then ``top``."""
+    cuts = [_cut_after(values, e, top) for e in ends[:-1]]
+    if None in cuts:
+        a = float(values[ends[cuts.index(None)] - 1])
         raise InvalidBounds(f"no float cut separates {a!r} from {top!r}, the top loss")
-    return [*cuts, float(top)]
+    return [0.0, *cuts, float(top)]
 
 
 def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = None) -> Partition:

@@ -8,10 +8,10 @@ exact in binary floating point, which is what lets the additivity and
 solver-agreement suites assert exact equality instead of tolerances.
 
 ``brute_force_oracle`` is the exhaustive reference the solver suites check
-the dynamic program against, ``group_table`` the scan that
+the solver against, ``group_table`` the scan that
 ``DiscreteLaw.groups`` must match, ``reference_solve`` the exact-r suffix
 table, over ``tranche_tables`` built from their definition, that the
-vectorized solver must match bit for bit, ``reference_partition_cuts`` the
+solver's walk must match bit for bit, ``reference_partition_cuts`` the
 pair-list split that ``build_partition`` must match cut for cut, ``csv_rows_oracle``
 the row-by-row CSV reader the ingest suite checks ``load_losses_csv``
 against, ``sorted_sample`` the sample an empirical model's law counts, and
@@ -105,7 +105,7 @@ def brute_force_oracle(model: LossModel, level: RiskLevel | float, n: int) -> fl
     """Minimal capital over at most n contiguous groups, by full enumeration.
 
     Exponential in the atom count, so capped hard; meant as an independent
-    check on the dynamic program, not for production use. Groups are priced
+    check on the solver, not for production use. Groups are priced
     by :meth:`DiscreteLaw.unit_var`, the rule every tranche quantile uses.
     """
     alpha = as_level(level).alpha

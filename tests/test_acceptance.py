@@ -129,7 +129,7 @@ def test_criterion_4_comonotonic_additivity():
 
 
 def test_criterion_5_solver_matches_oracle():
-    """DP equals exhaustive enumeration on 200 small instances, exactly."""
+    """The solver equals exhaustive enumeration on 200 small instances, exactly."""
     start = time.perf_counter()
     rng = np.random.default_rng(20240817)
     mismatches = 0

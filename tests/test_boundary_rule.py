@@ -136,7 +136,7 @@ def test_atoms_and_empirical_match_exact_quantile(law, permille):
 @example(law=([3, 7, 36, 43, 45], [2, 5, 5, 7, 1]), alpha=0.6, n=2)
 @example(law=([10, 15, 28, 30, 35], [7, 8, 2, 1, 7]), alpha=0.6, n=3)
 def test_solver_matches_repricing_and_oracle(law, alpha, n):
-    """DP capital == decompose repricing == enumeration == exact repricing."""
+    """Solver capital == decompose repricing == enumeration == exact repricing."""
     assume(law[0][-1] > 0)
     for model in both_models(law):
         res = solve_tranche_dp(model, alpha, n)

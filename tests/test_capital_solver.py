@@ -1,11 +1,13 @@
-"""Tests for the tranche DP solver, the enumeration oracle, and overhead search."""
+"""Tests for the tranche solver (the free-group walk that ``solve_tranche_dp``
+runs), the enumeration oracle, and overhead search."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -29,7 +31,6 @@ from varsplit import (
     var,
     var_of_tranche,
 )
-from varsplit import capital_solver
 
 A3 = atoms([0.0, 5.0, 10.0], [0.5, 0.3, 0.2])
 
@@ -98,7 +99,7 @@ class TestSolveTrancheDp:
         assert solve_tranche_dp(model, 0.95, 21).capital > 0.0
 
     def test_partition_reprices_to_the_reported_capital(self):
-        """Decomposing the returned cuts reproduces the DP value exactly."""
+        """Decomposing the returned cuts reproduces the solver's capital exactly."""
         rng = np.random.default_rng(602)
         cases = [
             (random_dyadic_atoms(rng), float(rng.choice([0.9, 0.95, 0.99])),
@@ -158,7 +159,7 @@ class TestBruteForceOracle:
             assert brute_force_oracle(atoms([7.0], [1.0]), 0.95, n) == 7.0
 
     def test_agrees_with_dp(self):
-        """Independent enumeration and the DP cannot disagree on small inputs."""
+        """Independent enumeration and the solver cannot disagree on small inputs."""
         rng = np.random.default_rng(604)
         for _ in range(50):
             model = random_dyadic_atoms(rng)
@@ -313,7 +314,7 @@ def outcome(solve, case):
 @example((atoms([0, 3, 7, 12], np.array([1, 4, 2, 7]) / 14), 0.8, 4, OverheadSchedule.none()))
 @example((atoms([0, 1, 2], [0.97, 0.01, 0.02]), 0.95, 3, OverheadSchedule.none()))
 def test_solver_matches_the_exact_row_reference(case):
-    """The at-most-r rows, both stops and the checkpointed walk report
+    """The walk over free groups, with its one costly group first, reports
     exactly what the exact-r table that kept every row reports. The
     reference groups the positive atoms only, so a law with an atom at 0,
     light or heavy, shows that the solver's one table over every atom
@@ -356,32 +357,26 @@ def test_capital_never_beats_the_unrestricted_floor(case):
 
 
 @pytest.mark.parametrize(
-    ("model", "alpha", "rows", "capital"),
+    ("model", "alpha", "groups", "capital"),
     [
-        # a top atom heavier than 1 - alpha: row 2 equals row 1
+        # a top atom heavier than 1 - alpha: the walk cannot start
         (atoms(np.arange(1.0, 201.0), np.append(np.full(199, 0.5 / 199), 0.5)), 0.95, 1, 200.0),
-        # 64 atoms of 1/64 at 0.95: groups of at most 3 atoms, capital 0 at row 22
+        # 64 atoms of 1/64 at 0.95: groups of at most 3 atoms, capital 0 at 22
         (atoms(np.arange(1.0, 65.0), np.full(64, 1.0 / 64.0)), 0.95, 22, 0.0),
     ],
 )
-def test_the_pass_stops_early(monkeypatch, model, alpha, rows, capital):
-    """At a row equal to the one before, or at capital 0, whatever the budget."""
-    seen = []
-    real = capital_solver._dp_rows
-
-    def spy(*args):
-        caps, marks, step = real(*args)
-        seen.append(len(caps) - 1)
-        return caps, marks, step
-
-    monkeypatch.setattr(capital_solver, "_dp_rows", spy)
-    res = solve_tranche_dp(model, alpha, model.law.values.size)
-    assert (res.capital, res.best_n, seen) == (capital, rows, [rows])
+def test_the_pass_stops_early(model, alpha, groups, capital):
+    """At a start the walk cannot lower, or at capital 0, whatever the budget."""
+    m = model.law.values.size
+    for budget in (m, 10 * m):
+        res = solve_tranche_dp(model, alpha, budget)
+        assert (res.capital, res.best_n) == (capital, groups)
 
 
 def test_many_rows_in_bounded_memory():
     """5000 equal atoms at 0.999 need 1250 groups of 4 atoms (mass 0.0008) for
-    capital 0. Keeping all 1250 rows of 5002 floats would peak near 50 MB."""
+    capital 0. The walk keeps O(m) integers; a table of 1250 rows of 5002
+    floats would peak near 50 MB."""
     m = 5000
     model = atoms(np.arange(1.0, m + 1.0), np.full(m, 1.0 / m))
     tracemalloc.start()
@@ -394,4 +389,74 @@ def test_many_rows_in_bounded_memory():
     assert res.capital == 0.0
     assert res.partition.cuts[:4] == (0.0, 4.5, 8.5, 12.5)
     assert res.partition.cuts == (0.0, *(4.0 * k + 0.5 for k in range(1, 1250)), 5000.0)
-    assert peak < 16 * 2**20, f"peaked at {peak / 2**20:.1f} MB"
+    assert peak < 2 * 2**20, f"peaked at {peak / 2**20:.1f} MB"
+
+
+def test_solver_matches_the_reference_on_larger_laws():
+    """Bit for bit against the exact-r reference on 20 laws of 50 to 300
+    distinct atoms, each as atoms and as samples. Integer weights over a sum
+    that is not a power of two make every atom probability non-dyadic."""
+    rng = np.random.default_rng(2021)
+    for _ in range(20):
+        m = int(rng.integers(50, 301))
+        values = np.sort(rng.choice(np.arange(1, 20 * m), size=m, replace=False)).astype(float)
+        weights = rng.integers(1, 10, size=m)
+        if (weights.sum() & (weights.sum() - 1)) == 0:
+            weights[0] += 1
+        alpha = float(rng.choice([0.9, 0.95, 0.99, 0.995]))
+        n_max = int(rng.integers(1, m + 2))
+        sched = OverheadSchedule.linear(float(rng.choice([0.0, 0.5, 3.0])))
+        for model in (atoms(values, weights / weights.sum()), empirical(np.repeat(values, weights))):
+            case = (model, alpha, n_max, sched)
+            assert outcome(solve_with_overhead, case) == outcome(reference_solve, case)
+
+
+@settings(max_examples=200)
+@given(solver_cases())
+def test_one_costly_tranche_and_it_comes_first(case):
+    """The lemma the solver rests on: at the fewest groups for its capital,
+    every tranche but the first is free, and the first pays all of it."""
+    model, alpha = case[:2]
+    try:
+        res = solve_with_overhead(*case)
+    except InvalidBounds:
+        assume(False)
+    tranche_vars = decompose(model, res.partition, alpha).tranche_vars
+    assert tranche_vars[0] == res.capital
+    assert not np.any(tranche_vars[1:])
+
+
+@st.composite
+def top_pair_cases(draw):
+    """A law of at most 12 atoms whose top atom is the float just above the
+    one below it, as atoms or as samples; a level; a unit budget."""
+    m = draw(st.integers(1, 11))
+    values = sorted(draw(st.sets(st.integers(1, 60), min_size=m, max_size=m)))
+    values = [*map(float, values), float(np.nextafter(values[-1], np.inf))]
+    weights = draw(st.lists(st.integers(1, 9), min_size=m + 1, max_size=m + 1))
+    if draw(st.booleans()):
+        model = atoms(values, np.array(weights) / sum(weights))
+    else:
+        model = empirical(np.repeat(np.array(values), weights))
+    alpha = draw(st.sampled_from([0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]))
+    return model, alpha, draw(st.integers(1, m + 2))
+
+
+@settings(max_examples=300)
+@given(top_pair_cases())
+@example((atoms([2.5, 3.5, 6.5, 6.500000000000001], [0.254, 0.243, 0.257, 0.246]), 0.5, 2))
+def test_a_top_float_pair_stays_together(case):
+    """No float cut parts the top atom from its neighbour, so the solver
+    prices the cheapest split that keeps the pair in one group: by
+    enumeration, the least capital, then the fewest groups."""
+    model, alpha, n = case
+    law, m = model.law, model.law.values.size
+    splits = (
+        (0, *inner, m)
+        for r in range(1, min(n, m - 1) + 1)
+        for inner in itertools.combinations(range(1, m - 1), r - 1)
+    )
+    best = min((sum(law.unit_var(a, b, alpha) for a, b in zip(s, s[1:])), len(s) - 1) for s in splits)
+    res = solve_tranche_dp(model, alpha, n)
+    assert (res.capital, res.best_n) == best
+    assert decompose(model, res.partition, alpha).total_capital == res.capital

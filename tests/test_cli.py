@@ -380,6 +380,21 @@ class TestMain:
             assert main([action, "--dist", pairs, "--alpha", "0.5", "--trials", "100"]) == 0
             assert capsys.readouterr().err == ""
 
+    def test_solve_keeps_a_top_float_pair_in_one_tranche(self, capsys):
+        """No float cut parts 6.5 from the float above it, so the cheapest
+        split that keeps them together is the whole book at its VaR."""
+        dist = "atoms:2.5:0.254,3.5:0.243,6.5:0.257,6.500000000000001:0.246"
+        assert main(["solve", "--dist", dist, "--alpha", "0.5", "--max-desks", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["n_units"], doc["sum_tranche_vars"], doc["var_total"]) == (1, 6.5, 6.5)
+
+    @pytest.mark.parametrize("action", [["solve", "--max-desks", "2"], ["decompose"]])
+    def test_cut_between_atoms_whose_sum_overflows(self, action, capsys):
+        dist = "atoms:1e308:0.5,1.7e308:0.5"
+        assert main([*action, "--dist", dist, "--alpha", "0.3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["cuts"], doc["sum_tranche_vars"]) == ([0.0, 1.35e308, 1.7e308], 0.0)
+
     def test_level_too_close_to_one_for_any_unit_count(self, capsys):
         """A default unit count at alpha 1 - 5e-13 is an error, not an endless search."""
         for argv in (

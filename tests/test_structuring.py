@@ -255,13 +255,18 @@ class TestBuildPartitionDiscrete:
 
     @pytest.mark.parametrize("low", [0.7, 0.3])
     def test_no_float_cut_separates_the_top_atom_from_its_neighbour(self, low):
+        """build_partition refuses the pair; the solver keeps it in one group."""
         top = float(np.nextafter(low, np.inf))
         model = atoms([low, top], [0.5, 0.5])
         message = re.escape(f"no float cut separates {low!r} from {top!r}")
         with pytest.raises(InvalidBounds, match=message):
             build_partition(model, 0.4)
-        with pytest.raises(InvalidBounds, match=message):
-            solve_tranche_dp(model, 0.4, 2)
+        res = solve_tranche_dp(model, 0.4, 2)
+        assert (res.best_n, res.capital, res.partition.cuts) == (1, low, (0.0, top))
+
+    def test_a_midpoint_past_the_float_range_is_taken_by_halves(self):
+        model = atoms([1e308, 1.7e308], [0.5, 0.5])
+        assert build_partition(model, 0.3).cuts == (0.0, 1.35e308, 1.7e308)
 
 
 class TestDecompose:
