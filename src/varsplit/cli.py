@@ -400,7 +400,14 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
 
 def _to_json(report: CapitalReport) -> str:
     doc = {**vars(report), "tranches": [vars(row) for row in report.tranches]}
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # JSON has no inf or nan: name the field that holds one
+        cells = [*doc.items()] + [
+            (f"tranches[{i}].{k}", v) for i, row in enumerate(doc["tranches"]) for k, v in row.items()
+        ]
+        name, value = next((k, v) for k, v in cells if isinstance(v, float) and not np.isfinite(v))
+        raise VarsplitError(f"report field {name} is {value}, which JSON cannot hold") from None
 
 
 def _to_csv(report: CapitalReport) -> str:

@@ -133,15 +133,6 @@ class DiscreteLaw:
         """The top of the support."""
         return float(self.values[-1])
 
-    def span(self, iv: Interval) -> tuple[int, int]:
-        """Index range ``[a, b)`` of the values inside ``iv``."""
-        a = int(np.searchsorted(self.values, iv.lo, side="left"))
-        side = "right" if iv.closed_hi else "left"
-        return a, int(np.searchsorted(self.values, iv.hi, side=side))
-
-    def mass(self, a: int, b: int) -> float:
-        return float(np.sum(self.weights[a:b])) / self.total
-
     def top(self, b, alpha: float):
         """Pricing index of a unit that bears the loss on ``values[a:b]``.
 
@@ -167,10 +158,10 @@ class DiscreteLaw:
         reach = np.searchsorted(tops, np.arange(m), side="right") + 1
         return self.values[np.maximum(tops, 1) - 1], reach
 
-    def unit_var(self, a: int, b: int, alpha: float) -> float:
-        """Strict quantile of X * 1{X among values[a:b]} at level alpha."""
-        t = int(self.top(b, alpha))
-        return 0.0 if a >= t else float(self.values[t - 1])
+    def unit_var(self, a, b, alpha: float) -> np.ndarray:
+        """Strict quantile of X * 1{X among values[a:b]} at level alpha; a and b may be arrays."""
+        t = self.top(b, alpha)
+        return np.where(a < t, self.values[t - 1], 0.0)
 
     def tail(self, a: int, b: int, p: float) -> float:
         """Integral over levels (p, 1) of the quantile of X * 1{X among values[a:b]}."""
@@ -182,9 +173,16 @@ class DiscreteLaw:
     def mean_tail(self, p: float) -> float:
         return self.tail(*self.whole, p)
 
-    def unit_es(self, a: int, b: int, alpha: float) -> float:
-        """Expected shortfall of X * 1{X among values[a:b]} at level alpha."""
-        return self.tail(a, b, alpha) / (1.0 - alpha)
+    def price(self, cuts, alpha: float, closed: bool = True) -> tuple[np.ndarray, ...]:
+        """Mass, VaR and ES at ``alpha`` of each tranche ``[cuts[k], cuts[k + 1])``, the
+        last closed when ``closed``. Masses and ES stay sums over each tranche's
+        atoms: ``np.add.reduceat`` and ``cum`` differences round differently."""
+        edges = np.searchsorted(self.values, cuts)
+        edges[-1] = np.searchsorted(self.values, cuts[-1], side="right" if closed else "left")
+        spans = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+        mass = [float(np.sum(self.weights[a:b])) / self.total for a, b in spans]
+        es = [self.tail(a, b, alpha) / (1.0 - alpha) for a, b in spans]
+        return np.array(mass), self.unit_var(edges[:-1], edges[1:], alpha), np.array(es)
 
     def cdf(self, x: float) -> float:
         return float(self.cum[np.searchsorted(self.values, x, side="right")]) / self.total
@@ -197,7 +195,7 @@ class DiscreteLaw:
 
 @dataclass(frozen=True, eq=False)
 class UniformLaw:
-    """Flat density on ``[lower, upper]``; a span is the clipped ``(lo, hi)``."""
+    """Flat density on ``[lower, upper]``; a tranche prices its part ``(lo, hi)`` inside it."""
 
     lower: float
     upper: float
@@ -205,9 +203,6 @@ class UniformLaw:
     @property
     def whole(self) -> tuple[float, float]:
         return self.lower, self.upper
-
-    def span(self, iv: Interval) -> tuple[float, float]:
-        return max(iv.lo, self.lower), min(iv.hi, self.upper)
 
     def mass(self, lo: float, hi: float) -> float:
         return 0.0 if hi <= lo else (hi - lo) / (self.upper - self.lower)
@@ -242,6 +237,12 @@ class UniformLaw:
         if (lo, hi) == self.whole:
             return self.lower + (self.upper - self.lower) * (1.0 + alpha) / 2.0
         return self.tail(lo, hi, alpha) / (1.0 - alpha)
+
+    def price(self, cuts, alpha: float, closed: bool = True) -> tuple[np.ndarray, ...]:
+        """:meth:`DiscreteLaw.price` on the density, each tranche clipped to the support."""
+        spans = [(max(lo, self.lower), min(hi, self.upper)) for lo, hi in zip(cuts, cuts[1:])]
+        rows = [(self.mass(*s), self.unit_var(*s, alpha), self.unit_es(*s, alpha)) for s in spans]
+        return tuple(np.array(rows).T)
 
     def cdf(self, x: float) -> float:
         if self.lower <= x < self.upper:
@@ -433,12 +434,13 @@ def quantile_strict(model: LossModel, p: float) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise InvalidLevel(f"quantile level must lie in (0, 1), got {p}")
-    return model.law.unit_var(*model.law.whole, p)
+    return float(model.law.unit_var(*model.law.whole, p))
 
 
 def mass_in(model: LossModel, iv: Interval) -> float:
-    """Probability that a loss falls inside ``iv`` under its closure rule."""
-    return model.law.mass(*model.law.span(iv))
+    """Probability that a loss falls inside ``iv`` under its closure rule. The
+    mass is the same at every level, so the one-row ``price`` call uses 0.5."""
+    return float(model.law.price((iv.lo, iv.hi), 0.5, iv.closed_hi)[0][0])
 
 
 _SEED = "seed must be >= 0, as an integer"

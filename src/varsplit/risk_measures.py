@@ -53,9 +53,9 @@ def tail_integral(model: LossModel, p: float) -> float:
 
 
 def expected_shortfall(model: LossModel, level: RiskLevel | float) -> float:
-    """Average of the strict quantile over the upper tail (alpha, 1)."""
-    law = model.law
-    return law.unit_es(*law.whole, as_level(level).alpha)
+    """Average of the strict quantile over the upper tail (alpha, 1): the ES of
+    the one tranche that holds the whole support."""
+    return float(model.law.price((0.0, model.max_loss), as_level(level).alpha)[2][0])
 
 
 def var_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> float:
@@ -65,8 +65,7 @@ def var_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> 
     loss, the tranche quantile is 0 whenever 1 - q > alpha; otherwise it is
     the smallest x in iv with (1 - q) + P(X in iv, 0 < X <= x) > alpha.
     """
-    law = model.law
-    return law.unit_var(*law.span(iv), as_level(level).alpha)
+    return float(model.law.price((iv.lo, iv.hi), as_level(level).alpha, iv.closed_hi)[1][0])
 
 
 def es_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> float:
@@ -75,5 +74,4 @@ def es_of_tranche(model: LossModel, iv: Interval, level: RiskLevel | float) -> f
     A tranche that spans the whole support is the whole book, so it costs
     exactly :func:`expected_shortfall`.
     """
-    law = model.law
-    return law.unit_es(*law.span(iv), as_level(level).alpha)
+    return float(model.law.price((iv.lo, iv.hi), as_level(level).alpha, iv.closed_hi)[2][0])

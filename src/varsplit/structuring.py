@@ -21,12 +21,10 @@ from .errors import (
 )
 from .loss_model import (  # MASS_GUARD stays importable from here
     MASS_GUARD,
-    Interval,
     LossModel,
     UniformLaw,
     _SEED,
     _require_int,
-    intervals_from_cuts,
     level_weight,
     mass_in,  # unused here; perfbench/tracing.py wraps it
     quantile_strict,
@@ -69,9 +67,6 @@ class Partition:
     @property
     def n_tranches(self) -> int:
         return len(self.cuts) - 1
-
-    def intervals(self) -> list[Interval]:
-        return intervals_from_cuts(self.cuts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +230,7 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
 
 
 def decompose(model: LossModel, partition: Partition, level: RiskLevel | float) -> TrancheDecomposition:
-    """Price each tranche's span once: its mass, strict quantile and ES.
+    """Price every tranche in one ``price`` call of the law: its mass, strict quantile and ES.
 
     A partition from 0 to ``max_loss`` covers the support, so the masses are
     not checked to sum to 1, which atoms need only within ``PROB_TOL``.
@@ -246,11 +241,7 @@ def decompose(model: LossModel, partition: Partition, level: RiskLevel | float) 
         raise PartitionMismatch(
             f"partition ends at {cuts[-1]} but the support ends at {model.max_loss}"
         )
-    law = model.law
-    spans = map(law.span, partition.intervals())
-    table = np.array(
-        [(law.mass(*s), law.unit_var(*s, alpha), law.unit_es(*s, alpha)) for s in spans]
-    ).T.copy()
+    table = np.array(model.law.price(cuts, alpha))
     table.flags.writeable = False
     return TrancheDecomposition(model, partition, *table)
 

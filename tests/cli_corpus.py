@@ -1,5 +1,5 @@
-"""A seeded corpus of ``solve`` and ``decompose`` command lines, and a
-comparer that runs it on two source trees.
+"""A seeded corpus of command lines over all six commands, and a comparer
+that runs it on two source trees.
 
     python tests/cli_corpus.py compare PARENT_SRC CHANGE_SRC --seed S --count N
 
@@ -8,10 +8,13 @@ on each tree: first with an empty book cache, then again with the cache the
 first run left. It prints each line whose stdout, stderr or exit code
 differs between the trees, with both outputs, and exits 1 if any does.
 
-The lines cover atom lists with and without an atom at 0, non-dyadic
-decimal probabilities, float-neighbour atoms (often at the top), atoms whose
-sums overflow, small CSV books with ties and zeros, every overhead form, and
-JSON and CSV output.
+The lines cover ``var``, ``es``, ``decompose``, ``simulate``, ``randomize``
+and ``solve``; atom lists with and without an atom at 0, non-dyadic decimal
+probabilities, float-neighbour atoms (often at the top), atoms whose sums
+overflow, uniform models (a few with empty support), small CSV books with
+ties and zeros, every overhead form, tranche and subsidiary counts, Monte
+Carlo runs of at most 2 000 trials with and without ``--seed``, and JSON
+and CSV output.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ import numpy as np
 
 #: Stands for the line's book file in its argv until a runner writes it.
 BOOK = "<book>"
+
+#: The six commands, in the order :func:`lines` draws them.
+ACTIONS = ("var", "es", "decompose", "simulate", "randomize", "solve")
 
 
 def _atoms(rng: np.random.Generator) -> str:
@@ -64,6 +70,12 @@ def _atoms(rng: np.random.Generator) -> str:
     return "atoms:" + ",".join(f"{v!r}:{p}" for v, p in zip(values.tolist(), probs))
 
 
+def _uniform(rng: np.random.Generator) -> str:
+    lower = 0.0 if rng.random() < 0.5 else round(float(rng.uniform(0.0, 50.0)), 2)
+    width = 0.0 if rng.random() < 0.05 else round(float(rng.uniform(0.01, 100.0)), 2)
+    return f"uniform:{lower!r},{lower + width!r}"
+
+
 def _book(rng: np.random.Generator) -> str:
     n = int(rng.integers(1, 41))
     pool = np.round(rng.uniform(0.0, 50.0, size=int(rng.integers(1, 12))), int(rng.integers(0, 3)))
@@ -91,16 +103,26 @@ def lines(seed: int, count: int) -> list[tuple[list[str], str | None]]:
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        action = str(rng.choice(["solve", "decompose"]))
-        book = _book(rng) if rng.random() < 0.2 else None
-        argv = [action, *(["--input", BOOK] if book else ["--dist", _atoms(rng)])]
+        action = str(rng.choice(ACTIONS, p=[0.1, 0.1, 0.25, 0.1, 0.1, 0.35]))
+        book, source = None, rng.random()
+        if source < 0.2:
+            book = _book(rng)
+            argv = [action, "--input", BOOK]
+        else:
+            argv = [action, "--dist", _uniform(rng) if source < 0.35 else _atoms(rng)]
         alpha = rng.choice(["0.3", "0.5", "0.6", "0.9", "0.95", "0.99", "0.999", "random"])
         argv += ["--alpha", f"{rng.uniform(0.05, 0.995):.4f}" if alpha == "random" else alpha]
         if action == "solve":
             desks = int(rng.integers(1, 45))
             argv += ["--max-desks", str(desks), *_overhead(rng, desks)]
-        elif rng.random() < 0.5:
+        elif action in ("decompose", "simulate") and rng.random() < 0.5:
             argv += ["--tranches", str(int(rng.integers(1, 45)))]
+        elif action == "randomize" and rng.random() < 0.5:
+            argv += ["--subsidiaries", str(int(rng.integers(1, 45)))]
+        if action in ("simulate", "randomize"):
+            argv += ["--trials", str(int(rng.integers(1, 2001)))]
+        if rng.random() < 0.3:
+            argv += ["--seed", str(int(rng.integers(0, 2**32)))]
         if rng.random() < 0.5:
             argv += ["--format", str(rng.choice(["json", "csv"]))]
         out.append((argv, book))

@@ -28,6 +28,7 @@ from varsplit import (
     empirical,
     es_of_tranche,
     expected_shortfall,
+    intervals_from_cuts,
     min_subsidiaries,
     randomized_assign,
     sample,
@@ -175,14 +176,14 @@ def test_criterion_7_expected_shortfall_resists():
     for alpha in (0.90, 0.95, 0.99):
         partition = build_partition(U01, alpha)
         total = sum(
-            es_of_tranche(U01, iv, alpha) for iv in partition.intervals()
+            es_of_tranche(U01, iv, alpha) for iv in intervals_from_cuts(partition.cuts)
         )
         book = expected_shortfall(U01, alpha)
         ok &= book > 0.0 and total >= book
         details.append(f"alpha={alpha}: sum ES={total:.3f} >= ES(X)={book:.3f}")
     total_21 = sum(
         es_of_tranche(U01, iv, 0.95)
-        for iv in build_partition(U01, 0.95).intervals()
+        for iv in intervals_from_cuts(build_partition(U01, 0.95).cuts)
     )
     ok &= abs(total_21 - 10.0) <= 1e-9
     details.append(f"21-tranche sum ES = {total_21!r} (target 10 +- 1e-9)")

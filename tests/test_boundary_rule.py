@@ -18,6 +18,7 @@ from varsplit import (
     atoms,
     decompose,
     empirical,
+    intervals_from_cuts,
     solve_tranche_dp,
     var,
 )
@@ -142,7 +143,7 @@ def test_solver_matches_repricing_and_oracle(law, alpha, n):
         res = solve_tranche_dp(model, alpha, n)
         exact = sum(
             exact_tranche_var(law, iv, Fraction(str(alpha)))
-            for iv in res.partition.intervals()
+            for iv in intervals_from_cuts(res.partition.cuts)
         )
         assert decompose(model, res.partition, alpha).total_capital == res.capital
         assert brute_force_oracle(model, alpha, n) == res.capital

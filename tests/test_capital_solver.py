@@ -24,6 +24,7 @@ from varsplit import (
     decompose,
     distinct_atoms,
     empirical,
+    intervals_from_cuts,
     randomized_unit_var,
     solve_tranche_dp,
     solve_with_overhead,
@@ -112,7 +113,7 @@ class TestSolveTrancheDp:
             res = solve_tranche_dp(model, alpha, n)
             total = sum(
                 var_of_tranche(model, iv, alpha)
-                for iv in res.partition.intervals()
+                for iv in intervals_from_cuts(res.partition.cuts)
             )
             assert total == res.capital
             assert res.partition.n_tranches == res.best_n <= n

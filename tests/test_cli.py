@@ -1,7 +1,10 @@
 """End-to-end tests for the command line: parsing, reports, serialization."""
 
+import csv
 import gc
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -389,11 +392,34 @@ class TestMain:
         assert (doc["n_units"], doc["sum_tranche_vars"], doc["var_total"]) == (1, 6.5, 6.5)
 
     @pytest.mark.parametrize("action", [["solve", "--max-desks", "2"], ["decompose"]])
-    def test_cut_between_atoms_whose_sum_overflows(self, action, capsys):
-        dist = "atoms:1e308:0.5,1.7e308:0.5"
-        assert main([*action, "--dist", dist, "--alpha", "0.3"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert (doc["cuts"], doc["sum_tranche_vars"]) == ([0.0, 1.35e308, 1.7e308], 0.0)
+    def test_cut_between_atoms_whose_sum_overflows(self, action):
+        """Read from the report object: its summed tranche ES overflows, which JSON refuses."""
+        report = run([*action, "--dist", "atoms:1e308:0.5,1.7e308:0.5", "--alpha", "0.3"])
+        assert (report.cuts, report.sum_tranche_vars) == ((0.0, 1.35e308, 1.7e308), 0.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--dist", "atoms:1e308:0.3,1.2e308:0.3,1.3e308:0.2,1.7e308:0.2"],
+            ["solve", "--dist", "atoms:1e308:0.5,1.7e308:0.5", "--max-desks", "2"],
+        ],
+    )
+    def test_json_refuses_an_infinite_field_that_csv_writes(self, argv, tmp_path, capsys):
+        """The tranche ES sum overflows to inf. JSON has no such number, so the
+        JSON report is one error line naming the field, with nothing on stdout
+        and no --out file; the CSV report writes inf, which float() reads back."""
+        argv = [*argv, "--alpha", "0.3"]
+        target = tmp_path / "r.json"
+        for out in ([], ["--out", str(target)]):
+            assert main([*argv, *out]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not target.exists()
+            assert captured.err == (
+                "error: report field sum_tranche_es is inf, which JSON cannot hold\n"
+            )
+        assert main([*argv, "--format", "csv"]) == 0
+        total = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))[-1]
+        assert (total["tranche"], float(total["es_analytic"])) == ("total", math.inf)
 
     def test_level_too_close_to_one_for_any_unit_count(self, capsys):
         """A default unit count at alpha 1 - 5e-13 is an error, not an endless search."""

@@ -23,6 +23,7 @@ from varsplit import (
     decompose,
     empirical,
     es_of_tranche,
+    intervals_from_cuts,
     mass_in,
     min_subsidiaries,
     quantile_strict,
@@ -139,7 +140,7 @@ class TestPartitionType:
     def test_tranche_count_and_closure(self):
         part = Partition((0.0, 0.5, 1.0))
         assert part.n_tranches == 2
-        ivs = part.intervals()
+        ivs = intervals_from_cuts(part.cuts)
         assert [iv.closed_hi for iv in ivs] == [False, True]
 
 
@@ -150,7 +151,7 @@ class TestBuildPartitionUniform:
         assert part.cuts[0] == 0.0 and part.cuts[-1] == 1.0
         for k in range(1, 21):
             assert part.cuts[k] == quantile_strict(U01, k / 21)
-        masses = [mass_in(U01, iv) for iv in part.intervals()]
+        masses = [mass_in(U01, iv) for iv in intervals_from_cuts(part.cuts)]
         assert max(abs(m - 1.0 / 21.0) for m in masses) < 1e-12
 
     def test_shifted_support(self):
@@ -323,7 +324,7 @@ class TestDecompose:
         got = zip(dec.masses.tolist(), dec.tranche_vars.tolist(), dec.tranche_es.tolist())
         want = [
             (mass_in(model, iv), var_of_tranche(model, iv, alpha), es_of_tranche(model, iv, alpha))
-            for iv in part.intervals()
+            for iv in intervals_from_cuts(part.cuts)
         ]
         assert [[float.hex(x) for x in row] for row in got] == [
             [float.hex(x) for x in row] for row in want
@@ -488,7 +489,7 @@ class TestZeroCapitalProperty:
         losses = sample(U01, seed=99, n=10**5)
         emp_model = empirical(losses)
         part = Partition((0.0, 0.5, 1.0))
-        for iv, analytic in zip(part.intervals(), (0.45, 0.95)):
+        for iv, analytic in zip(intervals_from_cuts(part.cuts), (0.45, 0.95)):
             if iv.closed_hi:
                 mask = (losses >= iv.lo) & (losses <= iv.hi)
             else:
