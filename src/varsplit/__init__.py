@@ -11,7 +11,6 @@ single copy of that module.
 """
 
 from .capital_solver import (
-    MAX_SOLVER_ATOMS,
     OverheadSchedule,
     SolveResult,
     solve_tranche_dp,
@@ -28,7 +27,6 @@ from .errors import (
     OutOfSupport,
     PartitionMismatch,
     ProbsNotNormalized,
-    TooManyAtoms,
     VarsplitError,
 )
 from .loss_model import (

@@ -26,10 +26,8 @@ such bound, so their cuts are the lexicographically smallest. The walk stops
 at 0, at a start it cannot lower, or at the budget: O(m log m) time and O(m)
 memory.
 
-One end has no float cut (:func:`_cut_after`): m - 1, when the top atom's
-float neighbour sits just below it. A walk that would end a group there
-stops before it instead, which leaves one costly group paying
-``price[m - 1]``; every cover that keeps the pair together pays that much.
+Where :meth:`DiscreteLaw.cut_at` has no cut below the top atom, the walk
+keeps the top pair in one group.
 """
 
 from __future__ import annotations
@@ -39,13 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBounds, TooManyAtoms
+from .errors import InvalidBounds
 from .loss_model import LossModel, _require_int, discrete_law
 from .risk_measures import RiskLevel, as_level
-from .structuring import Partition, _cut_after, _cuts_between
-
-#: Largest finite support the solver accepts.
-MAX_SOLVER_ATOMS = 5000
+from .structuring import Partition
 
 
 @dataclass(frozen=True)
@@ -146,18 +141,13 @@ def solve_with_overhead(
         )
     lvl = as_level(level)
     law = discrete_law(model)
-    if law.values.size > MAX_SOLVER_ATOMS:
-        raise TooManyAtoms(
-            f"{law.values.size} distinct support points exceed the solver bound "
-            f"{MAX_SOLVER_ATOMS}"
-        )
     if law.upper == 0.0:
         raise InvalidBounds("all loss mass sits at zero; there is nothing to split")
     price, reach = law.groups(lvl.alpha)
     m = price.size
     # first[s]: the least atom a whose group values[a:s] is free; s if none is
     first = np.searchsorted(reach, np.arange(1, m + 2)).tolist()
-    if m > 1 and first[m] == m - 1 and _cut_after(law.values, m - 1, model.max_loss) is None:
+    if first[m] == m - 1 and np.isnan(law.cut_at(m - 1)):
         first[m] = m  # no float cut parts the top atom from its neighbour
     starts = [m]
     for _ in range(n_max):
@@ -171,7 +161,7 @@ def solve_with_overhead(
     capital = caps[best + 1]
     groups = caps.index(capital)
     ends = starts[groups - 1 :: -1]
-    partition = Partition(_cuts_between(law.values, ends, model.max_loss))
+    partition = Partition((0.0, *law.cut_at(ends[:-1]).tolist(), law.upper))
     return SolveResult(
         best_n=groups, partition=partition, capital=capital, objective=objs[best]
     )

@@ -47,7 +47,3 @@ class PartitionMismatch(VarsplitError):
 
 class OutOfSupport(VarsplitError):
     """A realization lies outside the model's support range."""
-
-
-class TooManyAtoms(VarsplitError):
-    """The model's support exceeds the solver's configured atom budget."""

@@ -158,6 +158,22 @@ class DiscreteLaw:
         reach = np.searchsorted(tops, np.arange(m), side="right") + 1
         return self.values[np.maximum(tops, 1) - 1], reach
 
+    def cut_at(self, ends) -> np.ndarray:
+        """The cut at each group end e, between atoms a = ``values[e - 1]`` and b = ``values[e]``.
+
+        It is their midpoint when that lies strictly between a and the top,
+        taken by halves where a + b overflows, else b, which a value on a cut
+        routes up into its group. The one end with no cut is m - 1 when b is
+        the top and the midpoint rounds onto a or b: NaN there.
+        """
+        ends = np.asarray(ends, dtype=np.intp)
+        a, b = self.values[ends - 1], self.values[ends]
+        with np.errstate(over="ignore"):
+            mid = (a + b) / 2.0
+        mid = np.where(np.isfinite(mid), mid, a / 2.0 + b / 2.0)
+        cut = np.where((a < mid) & (mid < self.upper), mid, b)
+        return np.where(cut < self.upper, cut, np.nan)
+
     def unit_var(self, a, b, alpha: float) -> np.ndarray:
         """Strict quantile of X * 1{X among values[a:b]} at level alpha; a and b may be arrays."""
         t = self.top(b, alpha)

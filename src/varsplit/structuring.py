@@ -138,36 +138,14 @@ def min_subsidiaries(level: RiskLevel | float) -> int:
     return hi
 
 
-def _cut_after(values: np.ndarray, end: int, top: float) -> float | None:
-    """The cut between the groups that meet at ``end``, or None if none exists.
-
-    Atoms a < b on either side meet at their midpoint when it lies strictly
-    between a and ``top``, else at b, which a value on a cut routes up into
-    its group; no float cut separates a from b when b is ``top``. The
-    midpoint is taken by halves only where a + b overflows.
-    """
-    a, b = float(values[end - 1]), float(values[end])
-    mid = (a + b) / 2.0 if math.isfinite(a + b) else a / 2.0 + b / 2.0
-    cut = mid if a < mid < top else b
-    return cut if cut < top else None
-
-
-def _cuts_between(values: np.ndarray, ends: list[int], top: float) -> list[float]:
-    """Cuts 0, then :func:`_cut_after` every group end but the last, then ``top``."""
-    cuts = [_cut_after(values, e, top) for e in ends[:-1]]
-    if None in cuts:
-        a = float(values[ends[cuts.index(None)] - 1])
-        raise InvalidBounds(f"no float cut separates {a!r} from {top!r}, the top loss")
-    return [0.0, *cuts, float(top)]
-
-
 def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = None) -> Partition:
     """Partition the support so every tranche mass is strictly below 1 - alpha.
 
     ``n`` must be an integer; omitted, the minimal feasible count is used.
     Continuous models get equal-mass quantile cuts. Discrete ones are packed
-    greedily and cut between atoms: the leftmost widest group is halved until
-    there are ``n`` or one atom each, then slivers above the first atom fill n.
+    greedily, each group to its last free end that :meth:`DiscreteLaw.cut_at`
+    can cut, and the leftmost widest group is halved until there are ``n`` or
+    none can be, then slivers above the first atom fill n.
     """
     lvl = as_level(level)
     alpha = lvl.alpha
@@ -186,10 +164,13 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
 
     law = model.law
     vals = law.values
+    m = vals.size
     _, reach = law.groups(alpha)
     ends = [0]
-    while ends[-1] < vals.size:  # the fewest groups, each to its last free end
+    while ends[-1] < m:  # the fewest groups, each to its last free end with a cut
         end = int(reach[ends[-1]]) - 1
+        if end == m - 1 and reach[m - 2] > m and np.isnan(law.cut_at(end)):
+            end = m - 2  # the top pair is free, and no cut parts it
         if end == ends[-1]:  # the atom that starts this group is not free alone
             heaviest = float(np.max(law.weights)) / law.total
             raise AtomTooHeavy(
@@ -208,13 +189,18 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
         widths = np.diff(ends, prepend=0)
         k = int(np.argmax(widths))  # the leftmost of the widest groups
         w = int(widths[k])
-        if w == 1:
-            break
-        ends.insert(k, ends[k] - w + w // 2)
-    cuts = _cuts_between(vals, ends, model.max_loss)
+        mid = ends[k] - w + w // 2
+        if w == 1 or np.isnan(law.cut_at(mid)):
+            break  # single atoms, or the top pair that no cut parts
+        ends.insert(k, mid)
+    cuts = [0.0, *law.cut_at(ends[:-1]).tolist(), law.upper]
+    if math.isnan(cuts[-2]):
+        raise InvalidBounds(
+            f"no float cut separates {float(vals[-2])!r} from {law.upper!r}, the top loss"
+        )
     extra = n - len(ends)
     if extra > 0:
-        # All groups are single atoms; spend the leftover tranche budget on
+        # No group can be halved; spend the leftover tranche budget on
         # empty slivers between the first atom and the first cut above it.
         # A sliver may land on the first atom when it is above 0; the cuts
         # from 0 up to the first cut must still rise strictly.

@@ -37,7 +37,6 @@ from varsplit import (
     Partition,
     RiskLevel,
     SolveResult,
-    TooManyAtoms,
     as_level,
     atoms,
     empirical,
@@ -46,6 +45,10 @@ from varsplit.loss_model import MASS_GUARD, DiscreteLaw
 
 #: Largest support the exhaustive oracle will enumerate.
 MAX_ORACLE_ATOMS = 12
+
+
+class OracleTooLarge(ValueError):
+    """A model has more atoms than :func:`brute_force_oracle` enumerates."""
 
 
 def dyadic_weights(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -114,7 +117,7 @@ def brute_force_oracle(model: LossModel, level: RiskLevel | float, n: int) -> fl
         raise InvalidBounds("the oracle enumerates explicit atom lists only")
     m = law.values.size
     if m > MAX_ORACLE_ATOMS:
-        raise TooManyAtoms(f"{m} atoms exceed the oracle bound {MAX_ORACLE_ATOMS}")
+        raise OracleTooLarge(f"{m} atoms exceed the oracle bound {MAX_ORACLE_ATOMS}")
     if n < 1:
         raise InvalidBounds(f"need at least one group, got {n}")
     best = np.inf

@@ -11,16 +11,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    OracleTooLarge,
     brute_force_oracle,
     near_uniform_500_atoms,
     random_dyadic_atoms,
     reference_solve,
 )
 from varsplit import (
+    AtomTooHeavy,
     InvalidBounds,
+    NInsufficient,
     OverheadSchedule,
-    TooManyAtoms,
     atoms,
+    build_partition,
     decompose,
     distinct_atoms,
     empirical,
@@ -32,6 +35,7 @@ from varsplit import (
     var,
     var_of_tranche,
 )
+from varsplit.structuring import _mass_ok
 
 A3 = atoms([0.0, 5.0, 10.0], [0.5, 0.3, 0.2])
 
@@ -144,11 +148,16 @@ class TestSolveTrancheDp:
         with pytest.raises(InvalidBounds, match="mass sits at zero"):
             solve_tranche_dp(atoms([0.0], [1.0]), 0.95, 1)
 
-    def test_atom_budget_enforced(self):
-        values = np.arange(5001, dtype=float)
-        model = atoms(values, np.full(5001, 1.0 / 5001.0))
-        with pytest.raises(TooManyAtoms):
-            solve_tranche_dp(model, 0.95, 2)
+    @pytest.mark.parametrize("alpha, n", [(0.95, 30), (0.999, 30), (0.999, 2000)])
+    def test_a_book_of_20_000_distinct_values(self, alpha, n):
+        """No atom cap: the walk prices the book, ``decompose`` reprices its
+        split to the same capital, and that capital is no less than what N
+        randomized units would pay."""
+        model = empirical(np.random.default_rng(23).lognormal(0.0, 1.0, size=20_000))
+        assert model.law.values.size == 20_000
+        res = solve_tranche_dp(model, alpha, n)
+        assert decompose(model, res.partition, alpha).total_capital == res.capital
+        assert res.capital >= randomized_unit_var(model, res.best_n, alpha)
 
 
 class TestBruteForceOracle:
@@ -172,7 +181,7 @@ class TestBruteForceOracle:
 
     def test_size_guard(self):
         big = atoms(np.arange(13, dtype=float) + 1.0, np.full(13, 1.0 / 13.0))
-        with pytest.raises(TooManyAtoms, match="oracle bound"):
+        with pytest.raises(OracleTooLarge, match="oracle bound"):
             brute_force_oracle(big, 0.95, 2)
 
     def test_atoms_only(self):
@@ -443,6 +452,15 @@ def top_pair_cases(draw):
     return model, alpha, draw(st.integers(1, m + 2))
 
 
+def pair_splits(m: int, n: int):
+    """Every split of m atoms into at most n groups that keeps the top two together."""
+    return (
+        (0, *inner, m)
+        for r in range(1, min(n, m - 1) + 1)
+        for inner in itertools.combinations(range(1, m - 1), r - 1)
+    )
+
+
 @settings(max_examples=300)
 @given(top_pair_cases())
 @example((atoms([2.5, 3.5, 6.5, 6.500000000000001], [0.254, 0.243, 0.257, 0.246]), 0.5, 2))
@@ -452,12 +470,46 @@ def test_a_top_float_pair_stays_together(case):
     enumeration, the least capital, then the fewest groups."""
     model, alpha, n = case
     law, m = model.law, model.law.values.size
-    splits = (
-        (0, *inner, m)
-        for r in range(1, min(n, m - 1) + 1)
-        for inner in itertools.combinations(range(1, m - 1), r - 1)
+    best = min(
+        (sum(law.unit_var(a, b, alpha) for a, b in zip(s, s[1:])), len(s) - 1)
+        for s in pair_splits(m, n)
     )
-    best = min((sum(law.unit_var(a, b, alpha) for a, b in zip(s, s[1:])), len(s) - 1) for s in splits)
     res = solve_tranche_dp(model, alpha, n)
     assert (res.capital, res.best_n) == best
     assert decompose(model, res.partition, alpha).total_capital == res.capital
+
+
+TOP_PAIR_BOOK = atoms(
+    [1.0, 3.0, 3.0000000000000004, 7.0, 8.0, 11.0, 11.000000000000002],
+    [0.140625, 0.109375, 0.171875, 0.140625, 0.140625, 0.171875, 0.125],
+)
+
+
+@settings(max_examples=300)
+@given(top_pair_cases())
+@example((TOP_PAIR_BOOK, 0.5, 3))
+@example((TOP_PAIR_BOOK, 0.5, 9))
+def test_build_partition_packs_around_a_top_float_pair(case):
+    """``build_partition`` refuses a book with a top float pair only when no
+    split that keeps the pair together has every tranche free, needs no more
+    tranches than the fewest such split, and every tranche it makes is free
+    and passes the mass bound."""
+    model, alpha, n = case
+    law, m = model.law, model.law.values.size
+    free = [
+        len(s) - 1
+        for s in pair_splits(m, m)
+        if not any(law.unit_var(a, b, alpha) for a, b in zip(s, s[1:]))
+    ]
+    if not free:
+        with pytest.raises((AtomTooHeavy, InvalidBounds, NInsufficient)):
+            build_partition(model, alpha, n)
+        return
+    if n < min(free):
+        with pytest.raises(NInsufficient, match=f"need >= {min(free)}$"):
+            build_partition(model, alpha, n)
+        return
+    dec = decompose(model, build_partition(model, alpha, n), alpha)
+    assert dec.partition.n_tranches == n
+    assert dec.total_capital == 0.0
+    assert all(_mass_ok(mass, alpha) for mass in dec.masses)

@@ -391,6 +391,18 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["n_units"], doc["sum_tranche_vars"], doc["var_total"]) == (1, 6.5, 6.5)
 
+    def test_decompose_ends_a_group_below_a_top_float_pair(self, capsys):
+        """The greedy group that would end between 11.0 and the float above it,
+        where no cut exists, ends below the pair, which is free as one tranche."""
+        dist = (
+            "atoms:1.0:0.140625,3.0:0.109375,3.0000000000000004:0.171875,7.0:0.140625,"
+            "8.0:0.140625,11.0:0.171875,11.000000000000002:0.125"
+        )
+        assert main(["decompose", "--dist", dist, "--alpha", "0.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [row["mass"] for row in doc["tranches"]] == [0.421875, 0.28125, 0.296875]
+        assert doc["sum_tranche_vars"] == 0.0
+
     @pytest.mark.parametrize("action", [["solve", "--max-desks", "2"], ["decompose"]])
     def test_cut_between_atoms_whose_sum_overflows(self, action):
         """Read from the report object: its summed tranche ES overflows, which JSON refuses."""

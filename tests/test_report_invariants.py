@@ -1,6 +1,8 @@
 """Properties every CLI report keeps, whatever its numbers, checked on 200
 lines of the seeded corpus run in process. Each line runs twice, once with
-``--format json`` and once with ``--format csv``."""
+``--format json`` and once with ``--format csv``. Beyond the report's own
+arithmetic, a split's tranche masses pass the mass bound, and a solved split
+pays no less than as many randomized units would."""
 
 import csv
 import io
@@ -9,7 +11,9 @@ import json
 import pytest
 
 from cli_corpus import BOOK, lines
-from varsplit.cli import main
+from varsplit import build_model, load_losses_csv, randomized_unit_var
+from varsplit.cli import main, parse_cli
+from varsplit.structuring import _mass_ok
 
 LINES = lines(17, 200)
 
@@ -74,6 +78,13 @@ def test_report_invariants(index, tmp_path, capsys):
         assert cuts[0] == 0.0 and cuts[-1] == max_loss(argv, book)
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
         assert len(cuts) == len(rows) + 1
+    if argv[0] in ("decompose", "simulate"):
+        assert all(_mass_ok(row["mass"], doc["alpha"]) for row in rows)
+    if argv[0] == "solve":
+        spec = parse_cli(argv).model_spec
+        model = build_model(spec) if spec is not None else load_losses_csv(path)
+        floor = randomized_unit_var(model, doc["n_units"], doc["alpha"])
+        assert doc["sum_tranche_vars"] >= floor
 
     assert (csv_code, csv_err) == (0, "")
     table = list(csv.DictReader(io.StringIO(csv_out)))

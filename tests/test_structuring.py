@@ -256,7 +256,8 @@ class TestBuildPartitionDiscrete:
 
     @pytest.mark.parametrize("low", [0.7, 0.3])
     def test_no_float_cut_separates_the_top_atom_from_its_neighbour(self, low):
-        """build_partition refuses the pair; the solver keeps it in one group."""
+        """The pair is too heavy to be free, and no cut parts it: build_partition
+        refuses it; the solver keeps it in one group."""
         top = float(np.nextafter(low, np.inf))
         model = atoms([low, top], [0.5, 0.5])
         message = re.escape(f"no float cut separates {low!r} from {top!r}")
