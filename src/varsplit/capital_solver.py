@@ -146,12 +146,12 @@ def solve_with_overhead(
     price, reach = law.groups(lvl.alpha)
     m = price.size
     # first[s]: the least atom a whose group values[a:s] is free; s if none is
-    first = np.searchsorted(reach, np.arange(1, m + 2)).tolist()
+    first = np.searchsorted(reach, np.arange(1, m + 2))
     if first[m] == m - 1 and np.isnan(law.cut_at(m - 1)):
         first[m] = m  # no float cut parts the top atom from its neighbour
     starts = [m]
     for _ in range(n_max):
-        starts.append(first[starts[-1]])
+        starts.append(int(first[starts[-1]]))
         if starts[-1] in (0, starts[-2]):
             break
     caps = [math.inf]  # caps[N] = capital(N), the lemma's one costly group first

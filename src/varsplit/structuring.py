@@ -162,37 +162,40 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
         inner = [quantile_strict(model, k / n) for k in range(1, n)]
         return Partition((0.0, *inner, model.max_loss))
 
+    import heapq  # here, so `import varsplit` does not load it
+
     law = model.law
     vals = law.values
     m = vals.size
     _, reach = law.groups(alpha)
-    ends = [0]
-    while ends[-1] < m:  # the fewest groups, each to its last free end with a cut
-        end = int(reach[ends[-1]]) - 1
-        if end == m - 1 and reach[m - 2] > m and np.isnan(law.cut_at(end)):
+    uncut = m > 1 and math.isnan(law.cut_at(m - 1))  # no float cut parts the top pair
+    heap, start = [], 0  # groups as (-width, start): the top is the leftmost widest
+    while start < m:  # the fewest groups, each to its last free end with a cut
+        end = int(reach[start]) - 1
+        if end == m - 1 and uncut and reach[m - 2] > m:
             end = m - 2  # the top pair is free, and no cut parts it
-        if end == ends[-1]:  # the atom that starts this group is not free alone
+        if end == start:  # the atom that starts this group is not free alone
             heaviest = float(np.max(law.weights)) / law.total
             raise AtomTooHeavy(
                 f"an atom of mass {heaviest} can never sit strictly below "
                 f"1 - alpha = {1.0 - alpha}"
             )
-        ends.append(end)
-    del ends[0]
+        heap.append((start - end, start))
+        start = end
     if n is None:
-        n = len(ends)
-    if n < len(ends):
+        n = len(heap)
+    if n < len(heap):
         raise NInsufficient(
-            f"{n} tranches cannot satisfy the mass bound; need >= {len(ends)}"
+            f"{n} tranches cannot satisfy the mass bound; need >= {len(heap)}"
         )
-    while len(ends) < n:
-        widths = np.diff(ends, prepend=0)
-        k = int(np.argmax(widths))  # the leftmost of the widest groups
-        w = int(widths[k])
-        mid = ends[k] - w + w // 2
-        if w == 1 or np.isnan(law.cut_at(mid)):
+    heapq.heapify(heap)
+    while len(heap) < n:
+        w, start = -heap[0][0], heap[0][1]  # the leftmost of the widest groups
+        if w == 1 or (uncut and start + w // 2 == m - 1):
             break  # single atoms, or the top pair that no cut parts
-        ends.insert(k, mid)
+        heapq.heapreplace(heap, (-(w // 2), start))
+        heapq.heappush(heap, (w // 2 - w, start + w // 2))
+    ends = sorted([start - neg for neg, start in heap])
     cuts = [0.0, *law.cut_at(ends[:-1]).tolist(), law.upper]
     if math.isnan(cuts[-2]):
         raise InvalidBounds(

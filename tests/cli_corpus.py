@@ -12,9 +12,10 @@ The lines cover ``var``, ``es``, ``decompose``, ``simulate``, ``randomize``
 and ``solve``; atom lists with and without an atom at 0, non-dyadic decimal
 probabilities, float-neighbour atoms (often at the top), atoms whose sums
 overflow, uniform models (a few with empty support), small CSV books with
-ties and zeros, every overhead form, tranche and subsidiary counts, Monte
-Carlo runs of at most 2 000 trials with and without ``--seed``, and JSON
-and CSV output.
+ties and zeros (some with a single row, CRLF line ends, a ``-0.0`` row, an
+underscore inside a number or one bad row), every overhead form, tranche
+and subsidiary counts (a few at 0, a usage error), Monte Carlo runs of at
+most 2 000 trials with and without ``--seed``, and JSON and CSV output.
 """
 
 from __future__ import annotations
@@ -77,10 +78,24 @@ def _uniform(rng: np.random.Generator) -> str:
 
 
 def _book(rng: np.random.Generator) -> str:
-    n = int(rng.integers(1, 41))
+    n = 1 if rng.random() < 0.1 else int(rng.integers(1, 41))
     pool = np.round(rng.uniform(0.0, 50.0, size=int(rng.integers(1, 12))), int(rng.integers(0, 3)))
     losses = rng.choice(np.append(pool, 0.0) if rng.random() < 0.4 else pool, size=n)
-    return "loss\n" + "".join(f"{x!r}\n" for x in losses.tolist())
+    rows = [repr(x) for x in losses.tolist()]
+    k, shape = int(rng.integers(0, n)), rng.random()
+    if shape < 0.1:
+        rows[k] = "-0.0"
+    elif shape < 0.2:  # "12.5_0" is 12.5 to float, not to numpy's fast reader
+        rows[k] += "_0"
+    elif shape < 0.3:
+        rows[k] = str(rng.choice(["n/a", "-1.5", "inf", "1,2", '"3"x']))
+    eol = "\r\n" if rng.random() < 0.15 else "\n"
+    return "loss" + eol + "".join(row + eol for row in rows)
+
+
+def _count(rng: np.random.Generator, stop: int) -> str:
+    """A count flag's value in 1..stop-1, or now and then 0, a usage error."""
+    return "0" if rng.random() < 0.03 else str(int(rng.integers(1, stop)))
 
 
 def _overhead(rng: np.random.Generator, desks: int) -> list[str]:
@@ -113,14 +128,14 @@ def lines(seed: int, count: int) -> list[tuple[list[str], str | None]]:
         alpha = rng.choice(["0.3", "0.5", "0.6", "0.9", "0.95", "0.99", "0.999", "random"])
         argv += ["--alpha", f"{rng.uniform(0.05, 0.995):.4f}" if alpha == "random" else alpha]
         if action == "solve":
-            desks = int(rng.integers(1, 45))
+            desks = int(_count(rng, 45))
             argv += ["--max-desks", str(desks), *_overhead(rng, desks)]
         elif action in ("decompose", "simulate") and rng.random() < 0.5:
-            argv += ["--tranches", str(int(rng.integers(1, 45)))]
+            argv += ["--tranches", _count(rng, 45)]
         elif action == "randomize" and rng.random() < 0.5:
-            argv += ["--subsidiaries", str(int(rng.integers(1, 45)))]
+            argv += ["--subsidiaries", _count(rng, 45)]
         if action in ("simulate", "randomize"):
-            argv += ["--trials", str(int(rng.integers(1, 2001)))]
+            argv += ["--trials", _count(rng, 2001)]
         if rng.random() < 0.3:
             argv += ["--seed", str(int(rng.integers(0, 2**32)))]
         if rng.random() < 0.5:
@@ -163,7 +178,8 @@ def compare(parent: str, change: str, seed: int, count: int) -> int:
     with tempfile.TemporaryDirectory() as books:
         for i, (_, book) in enumerate(lines(seed, count)):
             if book is not None:
-                with open(os.path.join(books, f"{i}.csv"), "w", encoding="utf-8") as fh:
+                path = os.path.join(books, f"{i}.csv")
+                with open(path, "w", encoding="utf-8", newline="") as fh:
                     fh.write(book)
         outcomes = []
         for src in (parent, change):

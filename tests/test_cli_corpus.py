@@ -1,6 +1,7 @@
 """The CLI corpus tool: its lines are seeded and cover what it promises, and
 its comparer finds no difference between a tree and itself."""
 
+import math
 from pathlib import Path
 
 from cli_corpus import ACTIONS, BOOK, compare, lines
@@ -23,6 +24,23 @@ def test_lines_are_seeded_and_cover_every_shape():
     assert trials and max(trials) <= 2000
     assert all(("--trials" in argv) == (argv[0] in ("simulate", "randomize")) for argv, _ in first)
     assert all((book is not None) == (BOOK in argv) for argv, book in first)
+    books = [book for _, book in first if book is not None]
+    rows = [book.split()[1:] for book in books]
+    assert any("\r\n" in book for book in books)
+    assert any("_" in book for book in books)
+    assert any(len(r) == 1 for r in rows)
+    assert any("-0.0" in r for r in rows)
+    assert any(not all(map(_loss, r)) for r in rows)
+    zero = {argv[i - 1] for argv, _ in first for i, a in enumerate(argv) if a == "0"}
+    assert {"--tranches", "--max-desks", "--trials"} <= zero  # a usage error each
+
+
+def _loss(text: str) -> bool:
+    """Whether a book row reads as a finite loss >= 0."""
+    try:
+        return 0.0 <= float(text) < math.inf
+    except ValueError:
+        return False
 
 
 def test_a_tree_compared_with_itself_differs_nowhere(capsys):

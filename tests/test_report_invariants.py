@@ -54,7 +54,7 @@ def test_report_invariants(index, tmp_path, capsys):
     argv, book = LINES[index]
     if book is not None:
         path = tmp_path / "book.csv"
-        path.write_text(book, encoding="utf-8")
+        path.write_text(book, encoding="utf-8", newline="")
         argv = [str(path) if a == BOOK else a for a in argv]
     code, out, err = outcome([*argv, "--format", "json"], capsys)
     csv_code, csv_out, csv_err = outcome([*argv, "--format", "csv"], capsys)

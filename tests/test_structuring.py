@@ -1,6 +1,7 @@
 """Tests for partition building, tranche decomposition, and randomized routing."""
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ U01 = uniform(0.0, 1.0)
 SINGLE_ATOM_100 = atoms([100.0], [1.0])
 FIVE_FIFTHS = atoms([1.0, 2.0, 3.0, 4.0, 5.0], [0.2] * 5)
 EIGHTHS_FROM_0 = atoms(np.arange(8.0), np.full(8, 0.125))
+SIXTEENTHS = atoms(np.arange(1.0, 17.0), np.full(16, 1 / 16))
 TIED = empirical([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0])
 
 
@@ -240,6 +242,28 @@ class TestBuildPartitionDiscrete:
         the [start, end] pair-list split cut, ties on width included."""
         model, alpha, n = case
         assert build_partition(model, alpha, n).cuts == reference_partition_cuts(model, alpha, n)
+
+    # At 0.8 the greedy widths are 3,3,3,3,3,1: five groups tie, so counts 6
+    # to 16 check the leftmost-first order at every split, and 17 to 19 the
+    # slivers after it.
+    for _n in range(6, 20):
+        test_split_matches_the_pair_list_reference = example((SIXTEENTHS, 0.8, _n))(
+            test_split_matches_the_pair_list_reference
+        )
+    del _n
+
+    def test_a_large_budget_halves_every_group_quickly(self):
+        """20 000 atoms of 1/20 000 at 0.999 pack 19 to a group, 1 053 groups,
+        halved down to single atoms. The 2 s bound catches a split loop that
+        rescans every group width per split, which takes about 10 s here."""
+        m = 20_000
+        model = atoms(np.arange(1.0, m + 1.0), np.full(m, 1.0 / m))
+        assert build_partition(model, 0.999).n_tranches == 1_053
+        t0 = time.perf_counter()
+        part = build_partition(model, 0.999, m)
+        elapsed = time.perf_counter() - t0
+        assert part.cuts == (0.0, *(k + 0.5 for k in range(1, m)), float(m))
+        assert elapsed < 2.0, f"took {elapsed:.2f} s"
 
     def test_empirical_models_pack_too(self):
         rng = np.random.default_rng(52)
