@@ -24,7 +24,6 @@ from .errors import (
     InvalidLevel,
     NInsufficient,
     NegativeLoss,
-    OutOfSupport,
     PartitionMismatch,
     ProbsNotNormalized,
     VarsplitError,
@@ -36,8 +35,6 @@ from .loss_model import (
     atoms,
     build_model,
     cdf,
-    describe,
-    distinct_atoms,
     empirical,
     intervals_from_cuts,
     load_losses_csv,
@@ -59,7 +56,6 @@ from .risk_measures import (
 from .structuring import (
     Partition,
     RandomizedScheme,
-    SchemeValidity,
     TrancheDecomposition,
     additivity_gap,
     build_partition,
@@ -68,8 +64,6 @@ from .structuring import (
     randomized_assign,
     randomized_unit_es,
     randomized_unit_var,
-    split_realization,
-    validate_scheme,
 )
 
 __version__ = "0.1.0"

@@ -43,7 +43,6 @@ from .loss_model import (
     _empirical_runs,
     build_model,
     cdf,
-    describe,
     empirical,  # unused here; perfbench/tracing.py wraps varsplit.cli.empirical
     load_losses_csv,
     order_stat_rank,
@@ -384,7 +383,7 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
     sum_es = float(sum(row.es_analytic for row in rows))
     return CapitalReport(
         alpha=level.alpha,
-        model=describe(model),
+        model=model.label,
         n_units=len(rows),
         cuts=tuple(float(c) for c in cuts),
         tranches=tuple(rows),

@@ -44,6 +44,3 @@ class NInsufficient(VarsplitError):
 class PartitionMismatch(VarsplitError):
     """A partition does not span the model's support."""
 
-
-class OutOfSupport(VarsplitError):
-    """A realization lies outside the model's support range."""

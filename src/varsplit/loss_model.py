@@ -243,7 +243,7 @@ class UniformLaw:
         q = (hi - lo) / width
         base = 1.0 - q
         u0 = max(p, base)
-        return lo * (1.0 - u0) + width * (q * q - (u0 - base) ** 2) / 2.0
+        return lo * (1.0 - u0) + width * (q * q - (u0 - base) * (u0 - base)) / 2.0
 
     def mean_tail(self, p: float) -> float:
         return self.lower * (1.0 - p) + (self.upper - self.lower) * (1.0 - p * p) / 2.0
@@ -290,7 +290,7 @@ class LossModel:
 
     Instances are immutable and should be built through :func:`atoms`,
     :func:`empirical`, :func:`uniform` or :func:`build_model`, which validate
-    their input; ``label`` is the descriptor :func:`describe` returns.
+    their input; ``label`` is the descriptor a report prints.
     """
 
     #: The law every query delegates to; a :class:`DiscreteLaw` unless uniform.
@@ -423,11 +423,6 @@ def build_model(spec: dict) -> LossModel:
     raise InvalidBounds(f"unknown model kind: {kind!r}")
 
 
-def describe(model: LossModel) -> str:
-    """Short deterministic descriptor used in reports."""
-    return model.label
-
-
 def cdf(model: LossModel, x: float) -> float:
     """Right-continuous distribution function ``P(X <= x)``."""
     x = float(x)
@@ -481,12 +476,6 @@ def discrete_law(model: LossModel) -> DiscreteLaw:
     if isinstance(model.law, UniformLaw):
         raise InvalidBounds("a uniform model has no finite atom support")
     return model.law
-
-
-def distinct_atoms(model: LossModel) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct support points and their masses for a discrete model."""
-    law = discrete_law(model)
-    return law.values.copy(), law.weights / law.total
 
 
 def load_losses_csv(path) -> LossModel:

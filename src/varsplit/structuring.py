@@ -12,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AtomTooHeavy,
-    InvalidBounds,
-    NInsufficient,
-    OutOfSupport,
-    PartitionMismatch,
-)
-from .loss_model import (  # MASS_GUARD stays importable from here
-    MASS_GUARD,
+from .errors import AtomTooHeavy, InvalidBounds, NInsufficient, PartitionMismatch
+from .loss_model import (
     LossModel,
     UniformLaw,
     _SEED,
@@ -96,25 +89,6 @@ class RandomizedScheme:
         units = _require_int(self.subsidiaries, 1, _SUBSIDIARIES)
         object.__setattr__(self, "subsidiaries", units)
         object.__setattr__(self, "seed", _require_int(self.seed, 0, _SEED))
-
-
-@dataclass(frozen=True)
-class SchemeValidity:
-    """Verdict for a randomized scheme at a given level.
-
-    ``worst_var_fraction`` is the worst-case per-subsidiary quantile as a
-    fraction of the maximum loss: 0.0 when the activation probability stays
-    strictly below the tail budget, 1.0 otherwise (a constant loss at the cap
-    then charges the full cap to every subsidiary).
-    """
-
-    ok: bool
-    activation_probability: float
-    tail_budget: float
-    worst_var_fraction: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def min_subsidiaries(level: RiskLevel | float) -> int:
@@ -247,21 +221,6 @@ def additivity_gap(model: LossModel, partition, level: RiskLevel | float) -> flo
     return dec.total_capital - var(model, lvl)
 
 
-def split_realization(decomposition: TrancheDecomposition, x: float) -> np.ndarray:
-    """Route one realized loss to its tranche: one entry equals x, the rest 0.
-
-    Its index is the count of inner cuts at or below x, the rule ``simulate``
-    counts hits by: a loss on a cut goes to the tranche above.
-    """
-    x = float(x)
-    cuts = decomposition.partition.cuts
-    if not 0.0 <= x <= cuts[-1]:
-        raise OutOfSupport(f"realization {x} lies outside [0, {cuts[-1]}]")
-    out = np.zeros(decomposition.partition.n_tranches)
-    out[np.searchsorted(cuts[1:-1], x, side="right")] = x
-    return out
-
-
 def randomized_assign(scheme: RandomizedScheme, losses) -> np.ndarray:
     """Draw the subsidiary that bears each realized loss.
 
@@ -271,19 +230,6 @@ def randomized_assign(scheme: RandomizedScheme, losses) -> np.ndarray:
     """
     rng = np.random.default_rng(scheme.seed)
     return rng.integers(0, scheme.subsidiaries, size=np.size(losses))
-
-
-def validate_scheme(scheme: RandomizedScheme, level: RiskLevel | float) -> SchemeValidity:
-    """Check the strict activation bound 1/N < 1 - alpha."""
-    alpha = as_level(level).alpha
-    activation = 1.0 / scheme.subsidiaries
-    ok = _mass_ok(activation, alpha)
-    return SchemeValidity(
-        ok=ok,
-        activation_probability=activation,
-        tail_budget=1.0 - alpha,
-        worst_var_fraction=0.0 if ok else 1.0,
-    )
 
 
 def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | float) -> float:

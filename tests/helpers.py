@@ -434,5 +434,5 @@ def uniform_es_of_tranche(model: LossModel, iv, alpha: float) -> float:
     q = (hi - lo) / width
     base = 1.0 - q
     u0 = max(alpha, base)
-    integral = lo * (1.0 - u0) + width * (q * q - (u0 - base) ** 2) / 2.0
+    integral = lo * (1.0 - u0) + width * (q * q - (u0 - base) * (u0 - base)) / 2.0
     return integral / (1.0 - alpha)

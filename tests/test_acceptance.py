@@ -31,11 +31,11 @@ from varsplit import (
     intervals_from_cuts,
     min_subsidiaries,
     randomized_assign,
+    randomized_unit_var,
     sample,
     solve_tranche_dp,
     solve_with_overhead,
     uniform,
-    validate_scheme,
     var,
 )
 from varsplit.cli import _substream, main
@@ -87,7 +87,7 @@ def test_criterion_2_minimal_tranche_counts():
 
 
 def test_criterion_3_randomized_subsidiaries():
-    """X = 100 routed to 21 units: every empirical unit VaR is zero."""
+    """X = 100 routed to 21 units: every unit VaR is zero; 20 units pay the cap."""
     start = time.perf_counter()
     book = atoms([100.0], [1.0])
     losses = sample(book, seed=_substream(42, 0), n=10**5)
@@ -96,19 +96,25 @@ def test_criterion_3_randomized_subsidiaries():
     columns = [np.where(idx == j, losses, 0.0) for j in range(21)]
     unit_vars = [var(empirical(col), 0.95) for col in columns]
     coverage_exact = bool(np.array_equal(np.sum(columns, axis=0), losses))
-    rejected_20 = not validate_scheme(RandomizedScheme(20, seed=0), 0.95).ok
+    n_min = min_subsidiaries(0.95)
+    analytic = (randomized_unit_var(book, 21, 0.95), randomized_unit_var(book, 20, 0.95))
+    # The count reads the model: half the mass at 0 is free from 11 units.
+    half_at_0 = randomized_unit_var(atoms([0.0, 100.0], [0.5, 0.5]), 11, 0.95)
     elapsed = time.perf_counter() - start
     ok = (
         all(v == 0.0 for v in unit_vars)
         and coverage_exact
-        and rejected_20
+        and n_min == 21
+        and analytic == (0.0, 100.0)
+        and half_at_0 == 0.0
         and elapsed < 2.0
     )
     _report(
         3,
         ok,
         f"21 unit VaRs all zero: {all(v == 0.0 for v in unit_vars)}, "
-        f"coverage exact: {coverage_exact}, N=20 rejected: {rejected_20}, "
+        f"coverage exact: {coverage_exact}, least N: {n_min}, "
+        f"unit VaR at N=21 and N=20: {analytic}, half at 0 with N=11: {half_at_0}, "
         f"{elapsed:.2f}s",
     )
 

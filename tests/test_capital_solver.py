@@ -25,7 +25,6 @@ from varsplit import (
     atoms,
     build_partition,
     decompose,
-    distinct_atoms,
     empirical,
     intervals_from_cuts,
     randomized_unit_var,
@@ -130,7 +129,7 @@ class TestSolveTrancheDp:
         rng = np.random.default_rng(603)
         for _ in range(10):
             model = random_dyadic_atoms(rng)
-            values, probs = distinct_atoms(model)
+            values, probs = model.law.values, model.law.weights
             samples = np.repeat(values, np.round(probs * 256).astype(int))
             emp = empirical(samples)
             for n in (1, 2, 3):

@@ -18,8 +18,6 @@ from varsplit import (
     atoms,
     build_model,
     cdf,
-    describe,
-    distinct_atoms,
     empirical,
     intervals_from_cuts,
     load_losses_csv,
@@ -29,7 +27,7 @@ from varsplit import (
     sample,
     uniform,
 )
-from varsplit.loss_model import UniformLaw, _empirical_owned
+from varsplit.loss_model import UniformLaw, _empirical_owned, discrete_law
 
 
 class TestConstruction:
@@ -104,20 +102,20 @@ class TestConstruction:
 
     def test_build_model_dispatch(self):
         u = build_model({"kind": "uniform", "lower": 0.0, "upper": 2.0})
-        assert describe(u) == "uniform:0.0,2.0" and u.max_loss == 2.0
+        assert u.label == "uniform:0.0,2.0" and u.max_loss == 2.0
         a = build_model({"kind": "atoms", "values": [1.0], "probs": [1.0]})
-        assert describe(a) == "atoms:1.0:1.0"
+        assert a.label == "atoms:1.0:1.0"
         e = build_model({"kind": "empirical", "samples": [1.0, 4.0]})
-        assert describe(e) == "empirical:n=2"
+        assert e.label == "empirical:n=2"
         with pytest.raises(InvalidBounds, match="atoms model spec is missing 'values'"):
             build_model({"kind": "atoms"})
         with pytest.raises(InvalidBounds, match="missing 'upper'"):
             build_model({"kind": "uniform", "lower": 0.0})
 
     def test_describe_is_deterministic(self):
-        assert describe(uniform(0.0, 1.0)) == "uniform:0.0,1.0"
-        assert describe(atoms([0.0, 10.0], [0.5, 0.5])) == "atoms:0.0:0.5,10.0:0.5"
-        assert describe(empirical([1.0, 2.0])) == "empirical:n=2"
+        assert uniform(0.0, 1.0).label == "uniform:0.0,1.0"
+        assert atoms([0.0, 10.0], [0.5, 0.5]).label == "atoms:0.0:0.5,10.0:0.5"
+        assert empirical([1.0, 2.0]).label == "empirical:n=2"
 
 
 class TestNegativeZero:
@@ -132,7 +130,7 @@ class TestNegativeZero:
             law = model.law
             stored = [law.lower] if isinstance(law, UniformLaw) else law.values
             assert not np.signbit(stored).any()
-            assert "-0.0" not in describe(model)
+            assert "-0.0" not in model.label
 
     def test_quantiles_are_positive_zero(self):
         for model in (atoms([-0.0, 2.0], [0.5, 0.5]), empirical([-0.0, -0.0, 2.0])):
@@ -193,7 +191,7 @@ class TestEmpiricalLaw:
         finally:
             tracemalloc.stop()
         assert kept < 0.5 * 2**20, f"the model keeps {kept / 2**20:.2f} MB"
-        assert describe(model) == "empirical:n=400000"
+        assert model.label == "empirical:n=400000"
 
 
 class TestCdf:
@@ -391,19 +389,21 @@ class TestSampling:
 
 
 class TestDistinctAtoms:
+    """A discrete model's law holds its distinct atoms and their weights over a total."""
+
     def test_atoms_passthrough(self):
-        values, probs = distinct_atoms(atoms([0.0, 2.0], [0.25, 0.75]))
-        assert list(values) == [0.0, 2.0]
-        assert list(probs) == [0.25, 0.75]
+        law = atoms([0.0, 2.0], [0.25, 0.75]).law
+        assert list(law.values) == [0.0, 2.0]
+        assert list(law.weights / law.total) == [0.25, 0.75]
 
     def test_empirical_collapses_ties(self):
-        values, probs = distinct_atoms(empirical([1.0, 2.0, 2.0, 4.0]))
-        assert list(values) == [1.0, 2.0, 4.0]
-        assert list(probs) == [0.25, 0.5, 0.25]
+        law = empirical([1.0, 2.0, 2.0, 4.0]).law
+        assert list(law.values) == [1.0, 2.0, 4.0]
+        assert list(law.weights / law.total) == [0.25, 0.5, 0.25]
 
     def test_uniform_has_no_atoms(self):
-        with pytest.raises(InvalidBounds):
-            distinct_atoms(uniform(0.0, 1.0))
+        with pytest.raises(InvalidBounds, match="no finite atom support"):
+            discrete_law(uniform(0.0, 1.0))
 
 
 class TestCsvIngestion:
@@ -415,7 +415,7 @@ class TestCsvIngestion:
     def test_round_trip(self, tmp_path):
         path = self._write(tmp_path, "loss\n3.5\n1.25\n0\n")
         model = load_losses_csv(path)
-        assert describe(model) == "empirical:n=3"
+        assert model.label == "empirical:n=3"
         assert list(sorted_sample(model)) == [0.0, 1.25, 3.5]
 
     def test_header_required(self, tmp_path):

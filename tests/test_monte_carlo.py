@@ -5,6 +5,7 @@ building the units' loss columns. These tests build each column explicitly,
 from the same seeded draws, and price it as a sample of its own.
 """
 
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -115,6 +116,24 @@ def test_empirical_vars_match_explicit_columns(action, source, alpha, trials, un
     assert len(cols) == len(report.tranches)
     for col, row in zip(cols, report.tranches):
         assert row.var_empirical == var(empirical(col), float(alpha))
+
+
+def test_a_draw_on_a_cut_goes_to_the_tranche_above():
+    """A float-neighbour pair below the top has the upper atom itself as its cut,
+    so 40% of the draws land exactly on it. Routed up, each tranche holds at
+    most 60% of the trials and both empirical VaRs at 0.3 are 0; routed down,
+    the lower tranche would hold 80% and read 1.0."""
+    pair = math.nextafter(1.0, 2.0)
+    command = parse_cli([
+        "simulate", "--dist", f"atoms:1:0.4,{pair!r}:0.4,5:0.2", "--alpha", "0.3",
+        "--trials", "1000", "--seed", "4",
+    ])
+    report = run_simulation(command)
+    assert report.cuts == (0.0, pair, 5.0)
+    losses = sample(build_model(command.model_spec), _substream(4, 0), 1000)
+    assert np.count_nonzero(losses == pair) > 300
+    want = [var(empirical(col), 0.3) for col in columns(command, report, losses)]
+    assert [row.var_empirical for row in report.tranches] == want == [0.0, 0.0]
 
 
 def test_monte_carlo_memory_is_bounded_by_trials():

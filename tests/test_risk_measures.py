@@ -18,7 +18,6 @@ from varsplit import (
     atoms,
     build_partition,
     decompose,
-    distinct_atoms,
     empirical,
     es_of_tranche,
     expected_shortfall,
@@ -79,7 +78,7 @@ class TestVar:
         """Scaling the support scales VaR exactly, atom by atom."""
         rng = np.random.default_rng(405)
         model = random_dyadic_atoms(rng)
-        values, probs = distinct_atoms(model)
+        values, probs = model.law.values, model.law.weights
         samples = integer_samples(rng, 300)
         emp = empirical(samples)
         for c in (0.5, 2.0, 3.0):
@@ -193,7 +192,7 @@ class TestVarOfTranche:
             model = random_dyadic_atoms(rng)
             lo, hi = np.sort(rng.uniform(0.0, 100.0, size=2))
             iv = Interval(float(lo), float(hi) + 1.0)
-            values, masses = distinct_atoms(model)
+            values, masses = model.law.values, model.law.weights
             inside = (values >= iv.lo) & (values < iv.hi)
             masked = np.where(inside, values, 0.0)
             vals, idx = np.unique(masked, return_inverse=True)

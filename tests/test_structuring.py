@@ -9,11 +9,11 @@ from helpers import reference_partition_cuts
 from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
+import varsplit.cli
 from varsplit import (
     AtomTooHeavy,
     InvalidBounds,
     NInsufficient,
-    OutOfSupport,
     Partition,
     PartitionMismatch,
     ProbsNotNormalized,
@@ -34,12 +34,11 @@ from varsplit import (
     sample,
     solve_tranche_dp,
     solve_with_overhead,
-    split_realization,
     uniform,
-    validate_scheme,
     var,
     var_of_tranche,
 )
+from varsplit.cli import parse_cli, run_simulation
 from varsplit.loss_model import PROB_TOL
 
 U01 = uniform(0.0, 1.0)
@@ -110,12 +109,13 @@ class TestMinSubsidiaries:
         assert min_subsidiaries(RiskLevel(0.95)) == 21
 
     def test_result_is_tight(self):
-        """N units pass the strict bound, N - 1 units cannot, up to alpha = 1 - 1e-11."""
+        """N units are free, N - 1 units cannot be, up to alpha = 1 - 1e-11: a
+        single atom at 100 charges every unit 0 at N and 100 at N - 1."""
         for alpha in (0.9, 0.95, 0.99, 0.8, 0.5, *(1.0 - 10.0**-k for k in range(1, 12))):
             n = min_subsidiaries(alpha)
-            assert validate_scheme(RandomizedScheme(n, seed=0), alpha).ok
+            assert randomized_unit_var(SINGLE_ATOM_100, n, alpha) == 0.0
             if n > 1:
-                assert not validate_scheme(RandomizedScheme(n - 1, seed=0), alpha).ok
+                assert randomized_unit_var(SINGLE_ATOM_100, n - 1, alpha) == 100.0
 
     @pytest.mark.parametrize("alpha", [1.0 - 1e-12, 0.9999999999995, 0.9999999999999999])
     def test_no_count_once_the_guarded_level_reaches_one(self, alpha):
@@ -357,33 +357,41 @@ class TestDecompose:
 
 
 class TestSplitRealization:
-    def _dec(self):
-        return decompose(U01, Partition((0.0, 0.5, 1.0)), 0.95)
+    """``simulate`` with one trial splits that trial's loss: a unit's empirical
+    VaR is then its own loss, so the report's rows are the split of the draw."""
 
-    def test_boundary_goes_right(self):
+    @staticmethod
+    def split(monkeypatch, x, command=None):
+        """The cuts and the report's per-unit split of the one draw ``x``."""
+        if command is None:
+            command = parse_cli(["simulate", "--dist", "uniform:0,1", "--alpha", "0.4",
+                                 "--tranches", "2", "--trials", "1"])
+        monkeypatch.setattr(varsplit.cli, "sample", lambda model, seed, n: np.array([x]))
+        report = run_simulation(command)
+        return report.cuts, [row.var_empirical for row in report.tranches]
+
+    def test_boundary_goes_right(self, monkeypatch):
         """0.5 belongs to [0.5, 1], the lo-inclusive side."""
-        assert list(split_realization(self._dec(), 0.5)) == [0.0, 0.5]
+        assert self.split(monkeypatch, 0.5) == ((0.0, 0.5, 1.0), [0.0, 0.5])
 
-    def test_max_loss_lands_in_last_tranche(self):
-        assert list(split_realization(self._dec(), 1.0)) == [0.0, 1.0]
+    def test_max_loss_lands_in_last_tranche(self, monkeypatch):
+        assert self.split(monkeypatch, 1.0)[1] == [0.0, 1.0]
 
-    def test_interior_point(self):
-        assert list(split_realization(self._dec(), 0.2)) == [0.2, 0.0]
+    def test_interior_point(self, monkeypatch):
+        assert self.split(monkeypatch, 0.2)[1] == [0.2, 0.0]
 
-    def test_out_of_support(self):
-        with pytest.raises(OutOfSupport):
-            split_realization(self._dec(), 1.5)
-        with pytest.raises(OutOfSupport):
-            split_realization(self._dec(), -0.1)
-
-    def test_reconstruction_is_bitwise(self):
-        """Each draw lands in exactly one tranche and sums back unchanged."""
-        dec = decompose(U01, build_partition(U01, 0.95), 0.95)
-        draws = sample(U01, seed=21, n=10**4)
-        for x in draws:
-            pieces = split_realization(dec, float(x))
+    def test_reconstruction_is_bitwise(self, monkeypatch):
+        """Each draw lands in exactly one tranche of the 21-tranche split and
+        sums back unchanged; a draw on an inner cut lands in the tranche above."""
+        command = parse_cli(["simulate", "--dist", "uniform:0,1", "--alpha", "0.95", "--trials", "1"])
+        cuts, _ = self.split(monkeypatch, 0.0, command)
+        assert len(cuts) == 22
+        for x in sample(U01, seed=21, n=10**4).tolist():
+            pieces = self.split(monkeypatch, x, command)[1]
             assert np.count_nonzero(pieces) <= 1
-            assert float(np.sum(pieces)) == float(x)
+            assert float(np.sum(pieces)) == x
+        for k, cut in enumerate(cuts[1:-1], start=1):
+            assert self.split(monkeypatch, cut, command)[1] == [cut if j == k else 0.0 for j in range(21)]
 
 
 class TestRandomizedScheme:
@@ -426,21 +434,36 @@ class TestRandomizedScheme:
 
 
 class TestValidateScheme:
+    """A scheme of N units is free at alpha when the ``randomize`` report prices
+    every unit's VaR at 0. On a single atom at the cap that needs the activation
+    probability 1/N strictly below the tail budget 1 - alpha; otherwise each
+    unit pays the full cap."""
+
+    @staticmethod
+    def units(dist, n):
+        """The report's per-unit activation masses and analytic VaRs, as sets."""
+        argv = ["randomize", "--dist", dist, "--alpha", "0.95", "--subsidiaries", str(n)]
+        rows = run_simulation(parse_cli([*argv, "--trials", "10"])).tranches
+        assert len(rows) == n
+        return {row.mass for row in rows}, {row.var_analytic for row in rows}
+
     def test_minimal_count_passes(self):
-        validity = validate_scheme(RandomizedScheme(21, seed=0), 0.95)
-        assert validity.ok and bool(validity)
-        assert validity.activation_probability == pytest.approx(1.0 / 21.0, abs=1e-15)
-        assert validity.tail_budget == pytest.approx(0.05, abs=1e-12)
-        assert validity.worst_var_fraction == 0.0
+        (activation,), unit_vars = self.units("atoms:100:1", 21)
+        assert activation == pytest.approx(1.0 / 21.0, abs=1e-15)
+        assert unit_vars == {0.0}
 
     def test_boundary_count_fails(self):
         """1/20 = 0.05 only matches the tail budget; the bound is strict."""
-        validity = validate_scheme(RandomizedScheme(20, seed=0), 0.95)
-        assert not validity.ok and not bool(validity)
-        assert validity.worst_var_fraction == 1.0
+        assert self.units("atoms:100:1", 20)[1] == {100.0}
 
     def test_small_count_fails(self):
-        assert not validate_scheme(RandomizedScheme(10, seed=0), 0.95).ok
+        assert self.units("atoms:100:1", 10)[1] == {100.0}
+
+    def test_the_verdict_reads_the_model(self):
+        """Half the mass at 0 halves the units needed: 11 are free, 10 are not,
+        though 1/11 is above the tail budget."""
+        assert self.units("atoms:0:0.5,100:0.5", 11)[1] == {0.0}
+        assert self.units("atoms:0:0.5,100:0.5", 10)[1] == {100.0}
 
 
 class TestRandomizedUnitAnalytics:

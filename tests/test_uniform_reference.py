@@ -6,9 +6,11 @@ verbatim in ``helpers``), with two exceptions. A tranche over the whole
 support is the whole book and reads the whole-book expected shortfall. A
 tranche whose zero weight 1 - mass lies in (alpha, alpha + MASS_GUARD] does
 not pass alpha under the package's boundary rule, so its VaR is its lower
-edge, where the old unguarded comparison read 0. Bounds and levels are
-arbitrary floats, not dyadic ones, so a reordered or refactored expression
-that rounds differently fails.
+edge, where the old unguarded comparison read 0. One edit to the kept
+forms: a tranche's ES squares ``u0 - base`` with a multiply, as the
+whole-book tail squares ``p * p``, not with ``** 2``, which CPython hands to
+the C library's ``pow``. Bounds and levels are arbitrary floats, not dyadic
+ones, so a reordered or refactored expression that rounds differently fails.
 """
 
 from hypothesis import assume, example, given, settings
@@ -66,6 +68,7 @@ def bits(x) -> str:
 @example(0.1, 0.3, 0.975, -0.2, 1.0, True)  # the whole support, closed
 @example(0.0, 432.8047507412732, 0.6801735741910424, 0.2, 0.7, False)  # p * p != p ** 2
 @example(4.723405475539687, 1.0, 0.53, 0.53, 1.0, True)  # 1 - mass in the guard band
+@example(2.0, 1.0, 0.969936094716991, 0.2, 0.7, False)  # (u0 - base) ** 2 != its product
 def test_queries_match_the_closed_forms(lower, width, alpha, t1, t2, closed_hi):
     upper = lower + width
     assume(lower < upper)
@@ -95,6 +98,17 @@ def test_queries_match_the_closed_forms(lower, width, alpha, t1, t2, closed_hi):
     ]
     pairs += [(cdf(model, x), uniform_cdf(model, x)) for x in (lo, hi, lower, upper)]
     assert [bits(got) for got, _ in pairs] == [bits(want) for _, want in pairs]
+
+
+@settings(max_examples=400)
+@given(LOWER, WIDTH, st.floats(0.0, 1.0, exclude_max=True))
+@example(0.0, 1.0, 0.9503546630566793)  # a C library pow that rounds p ** 2 off p * p
+def test_a_tranche_over_the_support_has_the_mean_tail(lower, width, p):
+    """``tail`` over the whole support is ``mean_tail`` bit for bit, at every p in [0, 1)."""
+    upper = lower + width
+    assume(lower < upper)
+    law = uniform(lower, upper).law
+    assert bits(law.tail(law.lower, law.upper, p)) == bits(law.mean_tail(p))
 
 
 @settings(max_examples=100)
