@@ -40,7 +40,6 @@ from .loss_model import (
     load_losses_csv,
     mass_in,
     order_stat_rank,
-    quantile_strict,
     sample,
     uniform,
 )
@@ -49,13 +48,11 @@ from .risk_measures import (
     as_level,
     es_of_tranche,
     expected_shortfall,
-    tail_integral,
     var,
     var_of_tranche,
 )
 from .structuring import (
     Partition,
-    RandomizedScheme,
     TrancheDecomposition,
     additivity_gap,
     build_partition,

@@ -112,8 +112,10 @@ def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> Solv
     """Cheapest split of the support into at most n contiguous tranches.
 
     Ties break toward fewer groups first, then toward the lexicographically
-    smallest cut vector, so the result is reproducible. Cuts land midway
-    between adjacent support points.
+    smallest cut vector, so the result is reproducible. Each cut is
+    :meth:`DiscreteLaw.cut_at`'s: the midpoint of the atoms on either side
+    when it lies strictly between the lower atom and the top of the support,
+    and otherwise the upper atom.
     """
     n = _require_int(n, 1, "need at least one tranche, as an integer")
     return solve_with_overhead(model, level, n)

@@ -51,7 +51,6 @@ from .loss_model import (
 from .risk_measures import RiskLevel, expected_shortfall, var
 from .risk_measures import es_of_tranche  # unused here; perfbench/tracing.py wraps it
 from .structuring import (
-    RandomizedScheme,
     build_partition,
     decompose,
     min_subsidiaries,
@@ -349,10 +348,9 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
         n_subs = command.subsidiaries
         if n_subs is None:
             n_subs = min_subsidiaries(level)
-        scheme = RandomizedScheme(n_subs, seed=_substream(command.seed, 1))
         trials = command.trials
         losses = sample(model, _substream(command.seed, 0), trials)
-        idx = randomized_assign(scheme, losses)
+        idx = randomized_assign(n_subs, _substream(command.seed, 1), losses)
         order, hits = np.lexsort((losses, idx)), np.bincount(idx, minlength=n_subs)
         del idx  # so the gather below is the third trial-length array, not the fourth
         emp = _unit_vars(losses[order], hits, level)

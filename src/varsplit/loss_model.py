@@ -34,7 +34,6 @@ from .errors import (
     CsvFormatError,
     EmptySupport,
     InvalidBounds,
-    InvalidLevel,
     NegativeLoss,
     ProbsNotNormalized,
 )
@@ -434,18 +433,6 @@ def cdf(model: LossModel, x: float) -> float:
 def order_stat_rank(n: int, p: float) -> int:
     """1-based order-statistic rank backing the strict quantile for samples."""
     return min(n, math.floor(level_weight(p, n)) + 1)
-
-
-def quantile_strict(model: LossModel, p: float) -> float:
-    """Strict-inequality quantile ``inf {x : cdf(x) > p}`` for p in (0, 1).
-
-    For the empirical variant this is the order statistic of rank
-    :func:`order_stat_rank`.
-    """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise InvalidLevel(f"quantile level must lie in (0, 1), got {p}")
-    return float(model.law.unit_var(*model.law.whole, p))
 
 
 def mass_in(model: LossModel, iv: Interval) -> float:

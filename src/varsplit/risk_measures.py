@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidLevel
-from .loss_model import Interval, LossModel, quantile_strict
+from .loss_model import Interval, LossModel
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,12 @@ def as_level(level: RiskLevel | float) -> RiskLevel:
 
 
 def var(model: LossModel, level: RiskLevel | float) -> float:
-    """Value of the strict quantile at the requested level."""
-    return quantile_strict(model, as_level(level).alpha)
+    """Strict-inequality quantile ``inf {x : cdf(x) > alpha}`` at the level.
 
-
-def tail_integral(model: LossModel, p: float) -> float:
-    """Integral of the strict quantile over the probability slab (p, 1).
-
-    ``p`` may be 0, in which case this is the model mean.
+    For the empirical variant this is the order statistic of rank
+    :func:`order_stat_rank`.
     """
-    p = float(p)
-    if not 0.0 <= p < 1.0:
-        raise InvalidLevel(f"tail integral needs p in [0, 1), got {p}")
-    return model.law.mean_tail(p)
+    return float(model.law.unit_var(*model.law.whole, as_level(level).alpha))
 
 
 def expected_shortfall(model: LossModel, level: RiskLevel | float) -> float:

@@ -20,12 +20,10 @@ from .loss_model import (
     _require_int,
     level_weight,
     mass_in,  # unused here; perfbench/tracing.py wraps it
-    quantile_strict,
 )
 from .risk_measures import (
     RiskLevel,
     as_level,
-    tail_integral,
     var,
     var_of_tranche,  # unused here; perfbench/tracing.py wraps it
 )
@@ -78,19 +76,6 @@ class TrancheDecomposition:
         return sum(self.tranche_vars.tolist())
 
 
-@dataclass(frozen=True)
-class RandomizedScheme:
-    """N subsidiaries, one of which is drawn uniformly to bear each loss."""
-
-    subsidiaries: int
-    seed: int
-
-    def __post_init__(self):
-        units = _require_int(self.subsidiaries, 1, _SUBSIDIARIES)
-        object.__setattr__(self, "subsidiaries", units)
-        object.__setattr__(self, "seed", _require_int(self.seed, 0, _SEED))
-
-
 def min_subsidiaries(level: RiskLevel | float) -> int:
     """Smallest N whose units can each stay strictly below mass 1 - alpha.
 
@@ -123,9 +108,10 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
     """
     lvl = as_level(level)
     alpha = lvl.alpha
+    law = model.law
     if n is not None:
         n = _require_int(n, 1, "tranche count must be an integer >= 1", NInsufficient)
-    if isinstance(model.law, UniformLaw):
+    if isinstance(law, UniformLaw):
         n_min = min_subsidiaries(lvl)
         if n is None:
             n = n_min
@@ -133,12 +119,11 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
             raise NInsufficient(
                 f"{n} tranches cannot all have mass below 1 - alpha; need >= {n_min}"
             )
-        inner = [quantile_strict(model, k / n) for k in range(1, n)]
-        return Partition((0.0, *inner, model.max_loss))
+        inner = [law.unit_var(*law.whole, k / n) for k in range(1, n)]
+        return Partition((0.0, *inner, law.upper))
 
     import heapq  # here, so `import varsplit` does not load it
 
-    law = model.law
     vals = law.values
     m = vals.size
     _, reach = law.groups(alpha)
@@ -221,15 +206,16 @@ def additivity_gap(model: LossModel, partition, level: RiskLevel | float) -> flo
     return dec.total_capital - var(model, lvl)
 
 
-def randomized_assign(scheme: RandomizedScheme, losses) -> np.ndarray:
-    """Draw the subsidiary that bears each realized loss.
+def randomized_assign(subsidiaries: int, seed: int, losses) -> np.ndarray:
+    """Draw, from ``seed``, which of N subsidiaries bears each realized loss.
 
-    Returns one unit index in ``0..N-1`` per loss. Unit j loses ``losses[i]``
-    in trial i when ``idx[i] == j`` and nothing otherwise, so the units'
-    losses sum back to the input bitwise.
+    Returns one unit index in ``0..N-1`` per loss, each drawn uniformly. Unit
+    j loses ``losses[i]`` in trial i when ``idx[i] == j`` and nothing
+    otherwise, so the units' losses sum back to the input bitwise.
     """
-    rng = np.random.default_rng(scheme.seed)
-    return rng.integers(0, scheme.subsidiaries, size=np.size(losses))
+    subsidiaries = _require_int(subsidiaries, 1, _SUBSIDIARIES)
+    rng = np.random.default_rng(_require_int(seed, 0, _SEED))
+    return rng.integers(0, subsidiaries, size=np.size(losses))
 
 
 def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | float) -> float:
@@ -246,7 +232,7 @@ def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | 
     p = 1.0 - subsidiaries * (1.0 - alpha)
     if p <= 0.0:
         return model.law.lower
-    return quantile_strict(model, p)
+    return float(model.law.unit_var(*model.law.whole, p))
 
 
 def randomized_unit_es(model: LossModel, subsidiaries: int, level: RiskLevel | float) -> float:
@@ -254,4 +240,4 @@ def randomized_unit_es(model: LossModel, subsidiaries: int, level: RiskLevel | f
     subsidiaries = _require_int(subsidiaries, 1, _SUBSIDIARIES)
     alpha = as_level(level).alpha
     w0 = max(0.0, 1.0 - subsidiaries * (1.0 - alpha))
-    return tail_integral(model, w0) / (subsidiaries * (1.0 - alpha))
+    return model.law.mean_tail(w0) / (subsidiaries * (1.0 - alpha))

@@ -386,7 +386,7 @@ def uniform_cdf(model: LossModel, x: float) -> float:
     return (x - model.law.lower) / (model.law.upper - model.law.lower)
 
 
-def uniform_quantile_strict(model: LossModel, p: float) -> float:
+def uniform_var(model: LossModel, p: float) -> float:
     return model.law.lower + p * (model.law.upper - model.law.lower)
 
 
@@ -403,7 +403,7 @@ def uniform_sample(model: LossModel, seed: int, n: int) -> np.ndarray:
     return rng.uniform(model.law.lower, model.law.upper, size=n)
 
 
-def uniform_tail_integral(model: LossModel, p: float) -> float:
+def uniform_mean_tail(model: LossModel, p: float) -> float:
     a, b = model.law.lower, model.law.upper
     return a * (1.0 - p) + (b - a) * (1.0 - p * p) / 2.0
 

@@ -21,7 +21,6 @@ from helpers import (
 from varsplit import (
     NInsufficient,
     OverheadSchedule,
-    RandomizedScheme,
     atoms,
     build_partition,
     decompose,
@@ -91,8 +90,7 @@ def test_criterion_3_randomized_subsidiaries():
     start = time.perf_counter()
     book = atoms([100.0], [1.0])
     losses = sample(book, seed=_substream(42, 0), n=10**5)
-    scheme = RandomizedScheme(subsidiaries=21, seed=_substream(42, 1))
-    idx = randomized_assign(scheme, losses)
+    idx = randomized_assign(21, _substream(42, 1), losses)
     columns = [np.where(idx == j, losses, 0.0) for j in range(21)]
     unit_vars = [var(empirical(col), 0.95) for col in columns]
     coverage_exact = bool(np.array_equal(np.sum(columns, axis=0), losses))

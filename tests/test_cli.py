@@ -517,6 +517,30 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert int(proc.stderr) > 1000
 
+    def test_deferred_imports_load_only_when_used(self):
+        """``hashlib`` loads only for an ``--input`` book and ``heapq`` only for
+        an atoms ``build_partition``, so importing the package loads neither.
+
+        A fresh process, since pytest itself loads ``hashlib``. The last step
+        loads ``heapq``, which shows the probe sees a module when it loads.
+        """
+        probe = (
+            "import sys\n"
+            "loaded = lambda: [m for m in ('hashlib', 'heapq') if m in sys.modules]\n"
+            "import varsplit, varsplit.cli\n"
+            "print(loaded(), file=sys.stderr)\n"
+            "varsplit.cli.main(['var', '--dist', 'atoms:1:1'])\n"
+            "print(loaded(), file=sys.stderr)\n"
+            "varsplit.build_partition(varsplit.atoms([1.0, 2.0], [0.5, 0.5]), 0.3)\n"
+            "print(loaded(), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == ["[]", "[]", "['heapq']"]
+
     @pytest.mark.parametrize(
         "argv, code",
         [

@@ -23,9 +23,9 @@ from varsplit import (
     load_losses_csv,
     mass_in,
     order_stat_rank,
-    quantile_strict,
     sample,
     uniform,
+    var,
 )
 from varsplit.loss_model import UniformLaw, _empirical_owned, discrete_law
 
@@ -134,7 +134,7 @@ class TestNegativeZero:
 
     def test_quantiles_are_positive_zero(self):
         for model in (atoms([-0.0, 2.0], [0.5, 0.5]), empirical([-0.0, -0.0, 2.0])):
-            assert not np.signbit(quantile_strict(model, 0.25))
+            assert not np.signbit(var(model, 0.25))
 
 
 class TestEmpiricalLaw:
@@ -245,28 +245,28 @@ class TestCdf:
 
 class TestQuantileStrict:
     def test_atom_scan_below_jump(self):
-        assert quantile_strict(atoms([0.0, 10.0], [0.5, 0.5]), 0.4) == 0.0
+        assert var(atoms([0.0, 10.0], [0.5, 0.5]), 0.4) == 0.0
 
     def test_atom_scan_above_jump(self):
-        assert quantile_strict(atoms([0.0, 10.0], [0.5, 0.5]), 0.6) == 10.0
+        assert var(atoms([0.0, 10.0], [0.5, 0.5]), 0.6) == 10.0
 
     def test_atom_boundary_uses_strict_inequality(self):
         """At p exactly on a CDF flat, the quantile moves to the next atom."""
-        assert quantile_strict(atoms([0.0, 10.0], [0.5, 0.5]), 0.5) == 10.0
+        assert var(atoms([0.0, 10.0], [0.5, 0.5]), 0.5) == 10.0
 
     def test_uniform_inverse(self):
-        assert quantile_strict(uniform(0.0, 1.0), 0.95) == 0.95
+        assert var(uniform(0.0, 1.0), 0.95) == 0.95
 
     def test_empirical_order_statistic(self):
         model = empirical([1.0, 2.0, 2.0, 4.0])
-        assert quantile_strict(model, 0.5) == 2.0
-        assert quantile_strict(model, 0.74) == 2.0
-        assert quantile_strict(model, 0.75) == 4.0
+        assert var(model, 0.5) == 2.0
+        assert var(model, 0.74) == 2.0
+        assert var(model, 0.75) == 4.0
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
     def test_level_out_of_range(self, p):
         with pytest.raises(InvalidLevel):
-            quantile_strict(uniform(0.0, 1.0), p)
+            var(uniform(0.0, 1.0), p)
 
     def test_order_stat_rank(self):
         assert order_stat_rank(4, 0.5) == 3
@@ -284,12 +284,12 @@ class TestQuantileStrict:
         levels = np.linspace(0.01, 0.99, 49)
         for model in discrete:
             for p in levels:
-                q = quantile_strict(model, float(p))
+                q = var(model, float(p))
                 assert cdf(model, q) > p
                 assert cdf(model, q - 1e-9) <= p
         continuous = uniform(0.0, 1.0)
         for p in levels:
-            q = quantile_strict(continuous, float(p))
+            q = var(continuous, float(p))
             assert cdf(continuous, q + 1e-9) > p
             assert cdf(continuous, q - 1e-9) <= p
 

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varsplit import (
-    RandomizedScheme,
     VarsplitError,
     build_model,
     empirical,
@@ -59,8 +58,7 @@ def columns(command, report, losses):
             )
             for iv in intervals_from_cuts(report.cuts)
         ]
-    scheme = RandomizedScheme(report.n_units, seed=_substream(command.seed, 1))
-    idx = randomized_assign(scheme, losses)
+    idx = randomized_assign(report.n_units, _substream(command.seed, 1), losses)
     return [np.where(idx == j, losses, 0.0) for j in range(report.n_units)]
 
 

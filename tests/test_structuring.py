@@ -17,7 +17,6 @@ from varsplit import (
     Partition,
     PartitionMismatch,
     ProbsNotNormalized,
-    RandomizedScheme,
     RiskLevel,
     atoms,
     build_partition,
@@ -27,7 +26,6 @@ from varsplit import (
     intervals_from_cuts,
     mass_in,
     min_subsidiaries,
-    quantile_strict,
     randomized_assign,
     randomized_unit_es,
     randomized_unit_var,
@@ -152,7 +150,7 @@ class TestBuildPartitionUniform:
         assert part.n_tranches == 21
         assert part.cuts[0] == 0.0 and part.cuts[-1] == 1.0
         for k in range(1, 21):
-            assert part.cuts[k] == quantile_strict(U01, k / 21)
+            assert part.cuts[k] == var(U01, k / 21)
         masses = [mass_in(U01, iv) for iv in intervals_from_cuts(part.cuts)]
         assert max(abs(m - 1.0 / 21.0) for m in masses) < 1e-12
 
@@ -396,19 +394,20 @@ class TestSplitRealization:
 
 class TestRandomizedScheme:
     def test_subsidiary_count_validation(self):
-        with pytest.raises(InvalidBounds):
-            RandomizedScheme(0, seed=1)
-        assert RandomizedScheme(1, seed=1).subsidiaries == 1
+        losses = np.array([1.0, 2.0])
+        with pytest.raises(InvalidBounds, match="at least one subsidiary"):
+            randomized_assign(0, 1, losses)
+        np.testing.assert_array_equal(randomized_assign(1, 1, losses), [0, 0])
 
     def test_single_unit_takes_everything(self):
         losses = np.array([1.0, 0.0, 3.5])
-        idx = randomized_assign(RandomizedScheme(1, seed=9), losses)
+        idx = randomized_assign(1, 9, losses)
         assert idx.shape == (3,)
         np.testing.assert_array_equal(np.where(idx == 0, losses, 0.0), losses)
 
     def test_rows_reconstruct_losses_bitwise(self):
         losses = sample(U01, seed=33, n=5000)
-        idx = randomized_assign(RandomizedScheme(21, seed=7), losses)
+        idx = randomized_assign(21, 7, losses)
         assert idx.shape == (5000,) and np.issubdtype(idx.dtype, np.integer)
         columns = np.where(idx[:, None] == np.arange(21), losses[:, None], 0.0)
         np.testing.assert_array_equal(columns.sum(axis=1), losses)
@@ -416,17 +415,17 @@ class TestRandomizedScheme:
 
     def test_assignment_is_deterministic(self):
         losses = sample(U01, seed=33, n=1000)
-        a = randomized_assign(RandomizedScheme(5, seed=11), losses)
-        b = randomized_assign(RandomizedScheme(5, seed=11), losses)
+        a = randomized_assign(5, 11, losses)
+        b = randomized_assign(5, 11, losses)
         np.testing.assert_array_equal(a, b)
-        c = randomized_assign(RandomizedScheme(5, seed=12), losses)
+        c = randomized_assign(5, 12, losses)
         assert not np.array_equal(a, c)
 
     def test_activation_frequency(self):
         """Each unit is hit about 1/N of the time, within three sigmas."""
         n_units, trials = 21, 10**5
         losses = np.ones(trials)
-        idx = randomized_assign(RandomizedScheme(n_units, seed=3), losses)
+        idx = randomized_assign(n_units, 3, losses)
         freq = np.bincount(idx, minlength=n_units) / trials
         p = 1.0 / n_units
         band = 3.0 * np.sqrt(p * (1.0 - p) / trials)
@@ -553,7 +552,7 @@ class TestZeroCapitalProperty:
         (lambda n: build_partition(FIVE_FIFTHS, 0.5, n), NInsufficient),
         (lambda n: solve_tranche_dp(FIVE_FIFTHS, 0.5, n), InvalidBounds),
         (lambda n: solve_with_overhead(FIVE_FIFTHS, 0.5, n), InvalidBounds),
-        (lambda n: RandomizedScheme(n, 0), InvalidBounds),
+        (lambda n: randomized_assign(n, 0, [1.0, 2.0]), InvalidBounds),
         (lambda n: randomized_unit_var(FIVE_FIFTHS, n, 0.5), InvalidBounds),
         (lambda n: randomized_unit_es(FIVE_FIFTHS, n, 0.5), InvalidBounds),
     ],
@@ -574,7 +573,7 @@ def test_unit_counts_must_be_integers(count_into, error):
     [
         lambda x: sample(FIVE_FIFTHS, 1, x),
         lambda x: sample(FIVE_FIFTHS, x, 3),
-        lambda x: RandomizedScheme(3, x),
+        lambda x: randomized_assign(3, x, [1.0, 2.0]),
     ],
     ids=["sample_size", "sample_seed", "scheme_seed"],
 )

@@ -21,9 +21,9 @@ from helpers import (
     uniform_es_of_tranche,
     uniform_expected_shortfall,
     uniform_mass_in,
-    uniform_quantile_strict,
+    uniform_mean_tail,
     uniform_sample,
-    uniform_tail_integral,
+    uniform_var,
     uniform_var_of_tranche,
 )
 from varsplit import (
@@ -33,10 +33,9 @@ from varsplit import (
     es_of_tranche,
     expected_shortfall,
     mass_in,
-    quantile_strict,
     sample,
-    tail_integral,
     uniform,
+    var,
     var_of_tranche,
 )
 
@@ -88,12 +87,12 @@ def test_queries_match_the_closed_forms(lower, width, alpha, t1, t2, closed_hi):
     else:
         var_want = uniform_var_of_tranche(model, iv, alpha)
     pairs = [
-        (quantile_strict(model, alpha), uniform_quantile_strict(model, alpha)),
+        (var(model, alpha), uniform_var(model, alpha)),
         (mass_in(model, iv), uniform_mass_in(model, iv)),
         (var_of_tranche(model, iv, alpha), var_want),
         (es_of_tranche(model, iv, alpha), es_want),
-        (tail_integral(model, alpha), uniform_tail_integral(model, alpha)),
-        (tail_integral(model, 0.0), uniform_tail_integral(model, 0.0)),
+        (model.law.mean_tail(alpha), uniform_mean_tail(model, alpha)),
+        (model.law.mean_tail(0.0), uniform_mean_tail(model, 0.0)),
         (expected_shortfall(model, alpha), uniform_expected_shortfall(model, alpha)),
     ]
     pairs += [(cdf(model, x), uniform_cdf(model, x)) for x in (lo, hi, lower, upper)]
