@@ -228,7 +228,8 @@ def _unit_vars(ranked: np.ndarray, hits: np.ndarray, level: RiskLevel) -> list[f
     ``ranked`` holds every trial's loss grouped by unit, increasing within
     each group, and ``hits`` the group sizes. A unit's column sorts as its
     n - hits zeros followed by its sorted hits, so its VaR is the entry of
-    rank :func:`order_stat_rank` in that sequence.
+    rank :func:`order_stat_rank` in that sequence, and 0 when that rank falls
+    among the zeros, as it does for a unit hit at most n - rank times.
     """
     ends = np.cumsum(hits)
     ranks = order_stat_rank(ranked.size, level.alpha) - (ranked.size - hits)
@@ -245,11 +246,15 @@ BOOK_FORMAT = b"varsplit empirical law: float64 values then run starts, v1\n"
 
 def _book_key(path: str) -> str | None:
     """SHA-256 of the format tag, the csv field size limit and the file's
-    bytes, read in 1 MiB blocks; None when the file cannot be read."""
+    bytes, read through one 64 KiB block; None when the file cannot be read.
+
+    A 1 MiB block hashes a 2.9 MB book no faster (3.7 ms either way) and
+    costs a zero-filled buffer of its size.
+    """
     import hashlib  # here, so only --input pays the ~4 ms of loading OpenSSL
 
     digest = hashlib.sha256(BOOK_FORMAT + b"%d\n" % csv.field_size_limit())
-    block = bytearray(1 << 20)
+    block = bytearray(1 << 16)
     try:
         with open(path, "rb") as fh:
             while size := fh.readinto(block):
@@ -351,9 +356,13 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
         trials = command.trials
         losses = sample(model, _substream(command.seed, 0), trials)
         idx = randomized_assign(n_subs, _substream(command.seed, 1), losses)
-        order, hits = np.lexsort((losses, idx)), np.bincount(idx, minlength=n_subs)
-        del idx  # so the gather below is the third trial-length array, not the fourth
-        emp = _unit_vars(losses[order], hits, level)
+        hits = np.bincount(idx, minlength=n_subs)
+        if hits.max() <= trials - order_stat_rank(trials, level.alpha):
+            emp = [0.0] * n_subs  # each unit's rank falls among its zeros
+        else:
+            order = np.lexsort((losses, idx))
+            del idx  # so the gather below is the third trial-length array, not the fourth
+            emp = _unit_vars(losses[order], hits, level)
         unit_var = randomized_unit_var(model, n_subs, level)
         unit_es = randomized_unit_es(model, n_subs, level)
         activation = (1.0 - cdf(model, 0.0)) / n_subs

@@ -203,9 +203,16 @@ class DiscreteLaw:
         return float(self.cum[np.searchsorted(self.values, x, side="right")]) / self.total
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Inverse-CDF draws from one uniform stream, never off the support."""
-        idx = np.searchsorted(self.cum[1:], rng.random(n) * self.total, side="right")
-        return self.values[np.minimum(idx, self.values.size - 1)]
+        """Inverse-CDF draws from one uniform stream, never off the support.
+
+        The uniforms are scaled in place, and each draw is gathered back into
+        their buffer by its atom index, clamped onto the top atom, so the draw
+        peaks at two trial-length arrays: the uniforms and their indices.
+        """
+        draws = rng.random(n)
+        draws *= self.total
+        idx = np.searchsorted(self.cum[1:], draws, side="right")
+        return self.values.take(idx, mode="clip", out=draws)
 
 
 @dataclass(frozen=True, eq=False)

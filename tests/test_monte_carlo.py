@@ -85,6 +85,19 @@ def columns(command, report, losses):
          trials=20, units=2, seed=7)
 @example(action="randomize", source=("dist", "atoms:0:0.5,5:0.3,10:0.2"),
          alpha="0.9999999999995", trials=20, units=3, seed=5)
+# Hot and cold subsidiaries side by side, where a hot one is hit more than
+# trials - rank times and can read above 0: 5 of 10 are hot and read 1.0;
+# 8 of 9 are hot; with an atom at 0, 7 of 9 are hot and 5 of them read 1.0.
+@example(action="randomize", source=("dist", "atoms:1:0.5,2:0.3,3:0.2"), alpha="0.9",
+         trials=1000, units=10, seed=3)
+@example(action="randomize", source=("dist", "atoms:1:0.5,2:0.3,3:0.2"), alpha="0.9",
+         trials=1000, units=9, seed=1)
+@example(action="randomize", source=("dist", "atoms:0:0.1,1:0.5,2:0.4"), alpha="0.9",
+         trials=1000, units=9, seed=2)
+# One trial: the subsidiary it lands on is hit trials - rank + 1 = 1 time,
+# the fewest hits that read above 0, and reads that trial's loss.
+@example(action="randomize", source=("dist", "uniform:0,1"), alpha="0.5",
+         trials=1, units=3, seed=0)
 def test_empirical_vars_match_explicit_columns(action, source, alpha, trials, units, seed):
     """``units`` is the subsidiary count, or the tranches added to the minimum."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -151,31 +164,12 @@ def test_monte_carlo_memory_is_bounded_by_trials():
         assert peak < 64 * 2**20, f"{argv[0]} peaked at {peak / 2**20:.1f} MB"
 
 
-def test_simulate_keeps_one_trial_length_array():
-    """``simulate`` sorts its draws in place and builds no book from them."""
-    trials = 100000
-    command = parse_cli([
-        "simulate", "--dist", "uniform:0,1", "--alpha", "0.99",
-        "--tranches", "200", "--trials", str(trials),
-    ])
-    tracemalloc.start()
-    try:
-        report = run_simulation(command)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(report.tranches) == 200
-    assert peak < 2 * trials * 8, f"simulate peaked at {peak / 2**20:.2f} MB"
+def traced_peak(argv, trials):
+    """The report of one run at ``trials`` and its tracemalloc peak, in units
+    of one float64 per trial.
 
-
-def test_randomize_keeps_three_trial_length_arrays():
-    """``randomize`` drops the unit index before it gathers the draws by unit,
-    so the draws, their order and the gathered draws peak together."""
-    trials = 100000
-    argv = [
-        "randomize", "--dist", "atoms:100:1", "--subsidiaries", "200", "--alpha", "0.99",
-    ]
-    # A first run imports what numpy's seeding needs: about 0.7 MB, once per process.
+    A first run imports what numpy's seeding needs: about 0.7 MB, once per process.
+    """
     run_simulation(parse_cli([*argv, "--trials", "10"]))
     command = parse_cli([*argv, "--trials", str(trials)])
     tracemalloc.start()
@@ -184,5 +178,42 @@ def test_randomize_keeps_three_trial_length_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return report, peak / (8 * trials)
+
+
+def test_simulate_keeps_one_trial_length_array():
+    """``simulate`` sorts its draws in place and builds no book from them; a
+    discrete draw gathers into its uniforms, so it peaks at two arrays."""
+    trials = 100000
+    uniform = ["simulate", "--dist", "uniform:0,1", "--alpha", "0.99", "--tranches", "200"]
+    report, peak = traced_peak(uniform, trials)
     assert len(report.tranches) == 200
-    assert peak < 3.5 * trials * 8, f"randomize peaked at {peak / 2**20:.2f} MB"
+    assert peak < 1.25
+    atoms = ["simulate", "--dist", "atoms:1:0.5,2:0.3,3:0.2", "--alpha", "0.3"]
+    report, peak = traced_peak(atoms, trials)
+    assert len(report.tranches) == 2
+    assert peak < 2.1
+
+
+def test_randomize_with_no_hot_unit_sorts_nothing():
+    """200 subsidiaries at 0.99 each take about trials / 200 hits, fewer than
+    the trials / 100 a unit needs to read above 0: the draws and the unit
+    index are all that ``randomize`` holds."""
+    trials = 100000
+    argv = ["randomize", "--dist", "atoms:100:1", "--subsidiaries", "200", "--alpha", "0.99"]
+    report, peak = traced_peak(argv, trials)
+    assert len(report.tranches) == 200
+    assert peak < 2.25
+
+
+def test_randomize_keeps_three_trial_length_arrays():
+    """Once any unit is hit more than trials - rank times, every trial is
+    sorted by (unit, loss): at 0.9, about half of 10 subsidiaries and both of
+    2 are. The unit index goes before the gather, so the draws, their order
+    and the gathered draws are the three arrays held."""
+    trials = 100000
+    dist = ["randomize", "--dist", "atoms:1:0.5,2:0.3,3:0.2", "--alpha", "0.9"]
+    for units in (10, 2):
+        report, peak = traced_peak([*dist, "--subsidiaries", str(units)], trials)
+        assert len(report.tranches) == units
+        assert peak < 3.1
