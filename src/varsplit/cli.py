@@ -136,81 +136,80 @@ def _parse_overhead(text: str) -> OverheadSchedule:
     )
 
 
-def _add_flags(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument(
-        "--dist", help="model descriptor: uniform:a,b or atoms:v1:p1,v2:p2,..."
-    )
-    src.add_argument(
-        "--input", dest="input_path", metavar="INPUT",
-        help="CSV file with a single 'loss' column",
-    )
-    p.add_argument("--alpha", type=float, default=0.95, help="risk level in (0,1)")
-    p.add_argument("--tranches", type=int, default=None, help="tranche count")
-    p.add_argument("--subsidiaries", type=int, default=None, help="subsidiary count")
-    p.add_argument(
-        "--max-desks", dest="max_desks", type=int, default=None,
-        help="largest unit count the solver may use",
-    )
-    p.add_argument(
-        "--overhead", default="none", help="none, linear:c or table:c1,c2,..."
-    )
-    p.add_argument("--trials", type=int, default=100000, help="Monte Carlo draws")
-    p.add_argument("--seed", type=int, default=42, help="base RNG seed")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, help="write the report here, not stdout")
+#: Each command's help line and the flags it reads besides --dist or --input,
+#: --alpha, --seed, --format and --out, which every command takes.
+COMMANDS = {
+    "var": ("whole-book quantile capital", ()),
+    "es": ("whole-book expected shortfall", ()),
+    "decompose": ("tranche the support and price each piece", ("--tranches",)),
+    "randomize": ("route losses to uniformly drawn subsidiaries", ("--subsidiaries", "--trials")),
+    "solve": ("cheapest tranche structure under a unit budget", ("--max-desks", "--overhead")),
+    "simulate": ("decompose plus Monte Carlo verification", ("--tranches", "--trials")),
+}
+
+#: argparse's keywords for each flag in COMMANDS.
+FLAGS = {
+    "--tranches": {"type": int, "help": "tranche count"},
+    "--subsidiaries": {"type": int, "help": "subsidiary count"},
+    "--max-desks": {"type": int, "required": True, "help": "largest unit count the solver may use"},
+    "--overhead": {"default": "none", "help": "none, linear:c or table:c1,c2,..."},
+    "--trials": {"type": int, "default": 100000, "help": "Monte Carlo draws"},
+}
 
 
 def parse_cli(argv=None) -> argparse.Namespace:
     """Parse argv into a validated argparse namespace; exits 2 on misuse.
 
-    ``model_spec`` holds the parsed ``--dist`` (None with ``--input``) and
-    ``overhead`` the parsed :class:`OverheadSchedule`.
+    A command takes only the flags it reads (:data:`COMMANDS`); any other is
+    a usage error. ``model_spec`` holds the parsed ``--dist`` (None with
+    ``--input``), and for ``solve`` alone ``overhead`` holds the parsed
+    :class:`OverheadSchedule`.
     """
     parser = argparse.ArgumentParser(
         prog="varsplit",
         description="Tranche and subsidiary structuring under quantile capital rules",
     )
     sub = parser.add_subparsers(dest="action", required=True, metavar="command")
-    helps = {
-        "var": "whole-book quantile capital",
-        "es": "whole-book expected shortfall",
-        "decompose": "tranche the support and price each piece",
-        "randomize": "route losses to uniformly drawn subsidiaries",
-        "solve": "cheapest tranche structure under a unit budget",
-        "simulate": "decompose plus Monte Carlo verification",
-    }
-    for name, text in helps.items():
-        _add_flags(sub.add_parser(name, help=text))
+    for name, (text, own) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--dist", help="model descriptor: uniform:a,b or atoms:v1:p1,v2:p2,...")
+        src.add_argument(
+            "--input", dest="input_path", metavar="INPUT", help="CSV file with a single 'loss' column"
+        )
+        p.add_argument("--alpha", type=float, default=0.95, help="risk level in (0,1)")
+        for flag in own:
+            p.add_argument(flag, **FLAGS[flag])
+        p.add_argument("--seed", type=int, default=42, help="base RNG seed")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", default=None, help="write the report here, not stdout")
     ns = parser.parse_args(argv)
+    error = sub.choices[ns.action].error
 
     try:
         RiskLevel(ns.alpha)
     except VarsplitError as exc:
-        parser.error(f"--alpha: {exc}")
+        error(f"--alpha: {exc}")
     ns.model_spec = None
     if ns.dist is not None:
         try:
             ns.model_spec = _parse_dist(ns.dist)
         except ValueError as exc:
-            parser.error(f"--dist: {exc}")
-    try:
-        ns.overhead = _parse_overhead(ns.overhead)
-    except ValueError as exc:
-        parser.error(f"--overhead: {exc}")
-    for flag, value, least in (
-        ("--tranches", ns.tranches, 1),
-        ("--subsidiaries", ns.subsidiaries, 1),
-        ("--max-desks", ns.max_desks, 1),
-        ("--trials", ns.trials, 1),
-        ("--seed", ns.seed, 0),
+            error(f"--dist: {exc}")
+    if ns.action == "solve":
+        try:
+            ns.overhead = _parse_overhead(ns.overhead)
+        except ValueError as exc:
+            error(f"--overhead: {exc}")
+    for flag, least in (
+        ("--tranches", 1), ("--subsidiaries", 1), ("--max-desks", 1), ("--trials", 1),
+        ("--seed", 0),
     ):
+        value = getattr(ns, flag[2:].replace("-", "_"), None)  # None: unset, or not this command's
         if value is not None and value < least:
-            parser.error(f"{flag}: must be >= {least}, got {value}")
-    if ns.action == "solve" and ns.max_desks is None:
-        parser.error("solve requires --max-desks")
+            error(f"{flag}: must be >= {least}, got {value}")
     if ns.action == "solve" and ns.overhead.units < ns.max_desks:
-        parser.error(
+        error(
             f"--overhead: table covers 1..{ns.overhead.units} units, "
             f"--max-desks asks for {ns.max_desks}"
         )

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,9 +43,14 @@ class TestParseCli:
 
     def test_defaults(self):
         cmd = parse_cli(["var", *UNIFORM])
-        assert (cmd.alpha, cmd.trials, cmd.seed, cmd.format) == (0.95, 100000, 42, "json")
-        assert cmd.overhead == OverheadSchedule.none()
-        assert cmd.out is None
+        assert (cmd.alpha, cmd.seed, cmd.format, cmd.out) == (0.95, 42, "json", None)
+        for action in ("simulate", "randomize"):
+            cmd = parse_cli([action, *UNIFORM])
+            assert (cmd.alpha, cmd.trials, cmd.seed, cmd.format) == (0.95, 100000, 42, "json")
+            assert cmd.out is None
+        assert parse_cli(
+            ["solve", *UNIFORM, "--max-desks", "2"]
+        ).overhead == OverheadSchedule.none()
 
     def test_atoms_descriptor(self):
         cmd = parse_cli(["solve", *THREE_ATOMS, "--max-desks", "2"])
@@ -62,15 +68,47 @@ class TestParseCli:
         assert cmd.tranches == 21
 
     def test_overhead_forms(self):
+        solve = ["solve", *UNIFORM, "--max-desks", "2"]
         assert parse_cli(
-            ["var", *UNIFORM, "--overhead", "none"]
+            [*solve, "--overhead", "none"]
         ).overhead == OverheadSchedule.none()
         assert parse_cli(
-            ["var", *UNIFORM, "--overhead", "linear:0.001"]
+            [*solve, "--overhead", "linear:0.001"]
         ).overhead == OverheadSchedule.linear(0.001)
         assert parse_cli(
-            ["var", *UNIFORM, "--overhead", "table:0,0.1,0.5"]
+            [*solve, "--overhead", "table:0,0.1,0.5"]
         ).overhead == OverheadSchedule.table((0.0, 0.1, 0.5))
+
+    def test_each_command_takes_only_the_flags_it_reads(self, capsys):
+        """Each command's --help lists its own flags, 43 slots in all, and a
+        flag of another command is argparse's usage error."""
+        common = {"--dist", "--input", "--alpha", "--seed", "--format", "--out"}
+        own_flags = {
+            "var": set(),
+            "es": set(),
+            "decompose": {"--tranches"},
+            "simulate": {"--tranches", "--trials"},
+            "randomize": {"--subsidiaries", "--trials"},
+            "solve": {"--max-desks", "--overhead"},
+        }
+        slots = 0
+        for action, own in own_flags.items():
+            with pytest.raises(SystemExit) as exc:
+                parse_cli([action, "--help"])
+            assert exc.value.code == 0
+            shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+            assert shown - {"--help"} == common | own
+            slots += len(common | own)
+        assert slots == 43
+        for argv in (
+            ["randomize", *UNIFORM, "--tranches", "3"],
+            ["decompose", *UNIFORM, "--trials", "10"],
+            ["var", *UNIFORM, "--overhead", "none"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                parse_cli(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -82,8 +120,8 @@ class TestParseCli:
             ["var", "--dist", "gamma:1,2"],
             ["var", "--dist", "uniform:1"],
             ["var", "--dist", "atoms:1;0.5"],
-            ["var", *UNIFORM, "--overhead", "cubic:1"],
-            ["var", *UNIFORM, "--trials", "0"],
+            ["solve", *UNIFORM, "--max-desks", "2", "--overhead", "cubic:1"],
+            ["simulate", *UNIFORM, "--trials", "0"],
             ["var", *UNIFORM, "--seed", "-1"],
             ["decompose", *UNIFORM, "--tranches", "0"],
             ["randomize", *UNIFORM, "--subsidiaries", "0"],
@@ -94,10 +132,12 @@ class TestParseCli:
             ["solve", *THREE_ATOMS, "--max-desks", "3", "--overhead", "table:1,2"],
         ],
     )
-    def test_usage_errors_exit_2(self, argv):
+    def test_usage_errors_exit_2(self, argv, capsys):
+        """Each for its own fault, none for a flag its command does not read."""
         with pytest.raises(SystemExit) as exc:
             parse_cli(argv)
         assert exc.value.code == 2
+        assert "unrecognized arguments" not in capsys.readouterr().err
 
     def test_short_overhead_table_names_the_flag(self, capsys):
         """A table shorter than --max-desks is a usage error, not a run-time one."""
@@ -112,9 +152,18 @@ class TestParseCli:
         ).overhead == OverheadSchedule.table((1.0, 2.0))
 
     def test_usage_error_names_the_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            parse_cli(["var", *UNIFORM, "--alpha", "1.5"])
-        assert "--alpha" in capsys.readouterr().err
+        """A check after parsing reports under its command's usage, as argparse does."""
+        for argv, message in (
+            (["var", *UNIFORM, "--alpha", "1.5"], "--alpha: "),
+            (["decompose", *UNIFORM, "--tranches", "0"], "--tranches: must be >= 1, got 0"),
+            (["solve", "--dist", "atoms:1:1", "--max-desks", "2", "--overhead", "cubic:1"],
+             "--overhead: unknown overhead 'cubic'"),
+        ):
+            with pytest.raises(SystemExit):
+                parse_cli(argv)
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: varsplit {argv[0]} [-h]")
+            assert f"\nvarsplit {argv[0]}: error: {message}" in err
 
 
 class TestReports:
@@ -362,6 +411,23 @@ class TestMain:
         assert err.startswith("error:")
         assert "file.csv" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_var_and_es_print_the_same_report(self, fmt, tmp_path, capsys):
+        """Both reports carry var_total and es_total, so the two commands agree."""
+        book = tmp_path / "book.csv"
+        book.write_text("loss\n0\n1.5\n1.5\n4\n9.25\n")
+        for source in (
+            ["--dist", "atoms:1:0.5,3:0.5", "--alpha", "0.9", "--seed", "5"],
+            [*UNIFORM, "--alpha", "0.6"],
+            ["--input", str(book), "--alpha", "0.5"],
+        ):
+            shown = []
+            for action in ("var", "es"):
+                assert main([action, *source, "--format", fmt]) == 0
+                shown.append(capsys.readouterr().out)
+            assert shown[0] == shown[1]
+            assert "var_total" in shown[0] and "es_total" in shown[0]
+
     def test_negative_zero_is_reported_as_zero(self, tmp_path, capsys):
         path = tmp_path / "zero.csv"
         path.write_text("loss\n-0.0\n")
@@ -379,8 +445,8 @@ class TestMain:
             "atoms:1:0.1503170253143521,2:0.1900380041473550,3:0.1974383548446614,"
             "4:0.1325257473231537,5:0.3296808683714777"
         )
-        for action in ("var", "decompose", "simulate"):
-            assert main([action, "--dist", pairs, "--alpha", "0.5", "--trials", "100"]) == 0
+        for argv in (["var"], ["decompose"], ["simulate", "--trials", "100"]):
+            assert main([*argv, "--dist", pairs, "--alpha", "0.5"]) == 0
             assert capsys.readouterr().err == ""
 
     def test_solve_keeps_a_top_float_pair_in_one_tranche(self, capsys):
