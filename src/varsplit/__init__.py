@@ -44,8 +44,6 @@ from .loss_model import (
     uniform,
 )
 from .risk_measures import (
-    RiskLevel,
-    as_level,
     es_of_tranche,
     expected_shortfall,
     var,
@@ -53,7 +51,6 @@ from .risk_measures import (
 )
 from .structuring import (
     Partition,
-    TrancheDecomposition,
     additivity_gap,
     build_partition,
     decompose,

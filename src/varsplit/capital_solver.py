@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidBounds
 from .loss_model import LossModel, _require_int, discrete_law
-from .risk_measures import RiskLevel, as_level
+from .risk_measures import _alpha
 from .structuring import Partition
 
 
@@ -108,7 +108,7 @@ class SolveResult:
     objective: float
 
 
-def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> SolveResult:
+def solve_tranche_dp(model: LossModel, level: float, n: int) -> SolveResult:
     """Cheapest split of the support into at most n contiguous tranches.
 
     Ties break toward fewer groups first, then toward the lexicographically
@@ -123,7 +123,7 @@ def solve_tranche_dp(model: LossModel, level: RiskLevel | float, n: int) -> Solv
 
 def solve_with_overhead(
     model: LossModel,
-    level: RiskLevel | float,
+    level: float,
     n_max: int,
     overhead: OverheadSchedule | None = None,
 ) -> SolveResult:
@@ -141,11 +141,11 @@ def solve_with_overhead(
         raise InvalidBounds(
             f"table overhead covers 1..{sched.units} units, need {n_max}"
         )
-    lvl = as_level(level)
+    alpha = _alpha(level)
     law = discrete_law(model)
     if law.upper == 0.0:
         raise InvalidBounds("all loss mass sits at zero; there is nothing to split")
-    price, reach = law.groups(lvl.alpha)
+    price, reach = law.groups(alpha)
     m = price.size
     # first[s]: the least atom a whose group values[a:s] is free; s if none is
     first = np.searchsorted(reach, np.arange(1, m + 2))

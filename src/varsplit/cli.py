@@ -30,7 +30,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ from .loss_model import (
     order_stat_rank,
     sample,
 )
-from .risk_measures import RiskLevel, expected_shortfall, var
+from .risk_measures import _alpha, expected_shortfall, var
 from .risk_measures import es_of_tranche  # unused here; perfbench/tracing.py wraps it
 from .structuring import (
     build_partition,
@@ -67,14 +67,13 @@ RESTRICTION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class TrancheRow:
-    """Per-unit slice of a report: one tranche or one subsidiary."""
+#: The keys of a report row, one row per tranche or subsidiary, in report order.
+#: ``var_empirical`` is None when no Monte Carlo ran.
+UNIT_COLUMNS = ("mass", "var_analytic", "var_empirical", "es_analytic")
 
-    mass: float
-    var_analytic: float
-    var_empirical: float | None
-    es_analytic: float
+
+def _row(*values) -> dict:
+    return dict(zip(UNIT_COLUMNS, values))
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class CapitalReport:
     model: str
     n_units: int
     cuts: tuple[float, ...]
-    tranches: tuple[TrancheRow, ...]
+    tranches: tuple[dict, ...]
     var_total: float
     es_total: float
     sum_tranche_vars: float
@@ -96,7 +95,7 @@ class CapitalReport:
     restriction_note: str = RESTRICTION_NOTE
 
 
-#: The CSV's last columns, after the TrancheRow fields; only the totals row fills them.
+#: The CSV's last columns, after UNIT_COLUMNS; only the totals row fills them.
 REPORT_COLUMNS = (
     "var_total", "es_total", "additivity_gap", "alpha", "trials", "seed",
     "restriction_note",
@@ -183,11 +182,13 @@ def parse_cli(argv=None) -> argparse.Namespace:
         p.add_argument("--seed", type=int, default=42, help="base RNG seed")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report here, not stdout")
-    ns = parser.parse_args(argv)
+    ns, extras = parser.parse_known_args(argv)
     error = sub.choices[ns.action].error
+    if extras:
+        error(f"unrecognized arguments: {' '.join(extras)}")
 
     try:
-        RiskLevel(ns.alpha)
+        _alpha(ns.alpha)
     except VarsplitError as exc:
         error(f"--alpha: {exc}")
     ns.model_spec = None
@@ -221,7 +222,7 @@ def _substream(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed, stream]).generate_state(1, np.uint64)[0])
 
 
-def _unit_vars(ranked: np.ndarray, hits: np.ndarray, level: RiskLevel) -> list[float]:
+def _unit_vars(ranked: np.ndarray, hits: np.ndarray, alpha: float) -> list[float]:
     """Empirical VaR of each unit's loss: its own hits, zero in other trials.
 
     ``ranked`` holds every trial's loss grouped by unit, increasing within
@@ -231,7 +232,7 @@ def _unit_vars(ranked: np.ndarray, hits: np.ndarray, level: RiskLevel) -> list[f
     among the zeros, as it does for a unit hit at most n - rank times.
     """
     ends = np.cumsum(hits)
-    ranks = order_stat_rank(ranked.size, level.alpha) - (ranked.size - hits)
+    ranks = order_stat_rank(ranked.size, alpha) - (ranked.size - hits)
     return [
         float(ranked[end - hit + rank - 1]) if rank > 0 else 0.0
         for end, hit, rank in zip(ends, hits, ranks)
@@ -341,54 +342,53 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
     """
     spec = command.model_spec
     model = build_model(spec) if spec is not None else _load_book(command.input_path)
-    level = RiskLevel(command.alpha)
-    var_total = var(model, level)
-    es_total = expected_shortfall(model, level)
+    alpha = _alpha(command.alpha)
+    var_total = var(model, alpha)
+    es_total = expected_shortfall(model, alpha)
     trials = 0
     if command.action in ("var", "es"):
         cuts = (0.0, model.max_loss)
-        rows = [TrancheRow(1.0, var_total, None, es_total)]
+        rows = [_row(1.0, var_total, None, es_total)]
     elif command.action == "randomize":
         n_subs = command.subsidiaries
         if n_subs is None:
-            n_subs = min_subsidiaries(level)
+            n_subs = min_subsidiaries(alpha)
         trials = command.trials
         losses = sample(model, _substream(command.seed, 0), trials)
         idx = randomized_assign(n_subs, _substream(command.seed, 1), losses)
         hits = np.bincount(idx, minlength=n_subs)
-        if hits.max() <= trials - order_stat_rank(trials, level.alpha):
+        if hits.max() <= trials - order_stat_rank(trials, alpha):
             emp = [0.0] * n_subs  # each unit's rank falls among its zeros
         else:
             order = np.lexsort((losses, idx))
             del idx  # so the gather below is the third trial-length array, not the fourth
-            emp = _unit_vars(losses[order], hits, level)
-        unit_var = randomized_unit_var(model, n_subs, level)
-        unit_es = randomized_unit_es(model, n_subs, level)
+            emp = _unit_vars(losses[order], hits, alpha)
+        unit_var = randomized_unit_var(model, n_subs, alpha)
+        unit_es = randomized_unit_es(model, n_subs, alpha)
         activation = (1.0 - cdf(model, 0.0)) / n_subs
         cuts = ()
-        rows = [TrancheRow(activation, unit_var, e, unit_es) for e in emp]
+        rows = [_row(activation, unit_var, e, unit_es) for e in emp]
     else:
         if command.action == "solve":
             partition = solve_with_overhead(
-                model, level, command.max_desks, command.overhead
+                model, alpha, command.max_desks, command.overhead
             ).partition
         else:
-            partition = build_partition(model, level, command.tranches)
+            partition = build_partition(model, alpha, command.tranches)
         emp = [None] * partition.n_tranches
         if command.action == "simulate":
             trials = command.trials
             losses = sample(model, _substream(command.seed, 0), trials)
             losses.sort()
             below = np.searchsorted(losses, partition.cuts[1:-1])  # a draw on a cut goes up
-            emp = _unit_vars(losses, np.diff(below, prepend=0, append=trials), level)
-        dec = decompose(model, partition, level)
+            emp = _unit_vars(losses, np.diff(below, prepend=0, append=trials), alpha)
+        masses, tranche_vars, tranche_es = decompose(model, partition, alpha).tolist()
         cuts = partition.cuts
-        columns = dec.masses.tolist(), dec.tranche_vars.tolist(), emp, dec.tranche_es.tolist()
-        rows = [TrancheRow(*row) for row in zip(*columns)]
-    sum_vars = float(sum(row.var_analytic for row in rows))
-    sum_es = float(sum(row.es_analytic for row in rows))
+        rows = [_row(*row) for row in zip(masses, tranche_vars, emp, tranche_es)]
+    sum_vars = float(sum(row["var_analytic"] for row in rows))
+    sum_es = float(sum(row["es_analytic"] for row in rows))
     return CapitalReport(
-        alpha=level.alpha,
+        alpha=alpha,
         model=model.label,
         n_units=len(rows),
         cuts=tuple(float(c) for c in cuts),
@@ -404,7 +404,7 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
 
 
 def _to_json(report: CapitalReport) -> str:
-    doc = {**vars(report), "tranches": [vars(row) for row in report.tranches]}
+    doc = vars(report)  # json writes the tuples as lists
     try:
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except ValueError:  # JSON has no inf or nan: name the field that holds one
@@ -417,18 +417,16 @@ def _to_json(report: CapitalReport) -> str:
 
 def _to_csv(report: CapitalReport) -> str:
     """Unit rows, then a totals row; csv.writer writes None as "" and a float by repr."""
-    mass = float(sum(row.mass for row in report.tranches))
-    emp = [row.var_empirical for row in report.tranches]
+    mass = float(sum(row["mass"] for row in report.tranches))
+    emp = [row["var_empirical"] for row in report.tranches]
     emp_total = float(sum(emp)) if emp and None not in emp else None
-    total = TrancheRow(mass, report.sum_tranche_vars, emp_total, report.sum_tranche_es)
+    total = (mass, report.sum_tranche_vars, emp_total, report.sum_tranche_es)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tranche", *(f.name for f in fields(TrancheRow)), *REPORT_COLUMNS])
+    writer.writerow(["tranche", *UNIT_COLUMNS, *REPORT_COLUMNS])
     for i, row in enumerate(report.tranches, start=1):
-        writer.writerow([i, *vars(row).values(), *[None] * len(REPORT_COLUMNS)])
-    writer.writerow(
-        ["total", *vars(total).values(), *(getattr(report, c) for c in REPORT_COLUMNS)]
-    )
+        writer.writerow([i, *(row[c] for c in UNIT_COLUMNS), *[None] * len(REPORT_COLUMNS)])
+    writer.writerow(["total", *total, *(getattr(report, c) for c in REPORT_COLUMNS)])
     return buf.getvalue()
 
 

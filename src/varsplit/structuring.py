@@ -22,8 +22,7 @@ from .loss_model import (
     mass_in,  # unused here; perfbench/tracing.py wraps it
 )
 from .risk_measures import (
-    RiskLevel,
-    as_level,
+    _alpha,
     var,
     var_of_tranche,  # unused here; perfbench/tracing.py wraps it
 )
@@ -60,23 +59,7 @@ class Partition:
         return len(self.cuts) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class TrancheDecomposition:
-    """A partition applied to a model: per-tranche masses, quantiles and ES."""
-
-    model: LossModel
-    partition: Partition
-    masses: np.ndarray
-    tranche_vars: np.ndarray
-    tranche_es: np.ndarray
-
-    @property
-    def total_capital(self) -> float:
-        """Summed tranche VaR, added in tranche order as the CLI report adds it."""
-        return sum(self.tranche_vars.tolist())
-
-
-def min_subsidiaries(level: RiskLevel | float) -> int:
+def min_subsidiaries(level: float) -> int:
     """Smallest N whose units can each stay strictly below mass 1 - alpha.
 
     Masses summing to one force N * (1 - alpha) > 1, so this is
@@ -85,7 +68,7 @@ def min_subsidiaries(level: RiskLevel | float) -> int:
     found by doubling and bisecting. Once ``level_weight(alpha, 1)`` reaches
     1 no N passes, and this raises :class:`NInsufficient`.
     """
-    alpha = as_level(level).alpha
+    alpha = _alpha(level)
     if level_weight(alpha, 1.0) >= 1.0:
         raise NInsufficient(f"no unit count keeps each mass below 1 - alpha = {1.0 - alpha}")
     lo, hi = 1, 2  # a single unit always fails
@@ -97,7 +80,7 @@ def min_subsidiaries(level: RiskLevel | float) -> int:
     return hi
 
 
-def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = None) -> Partition:
+def build_partition(model: LossModel, level: float, n: int | None = None) -> Partition:
     """Partition the support so every tranche mass is strictly below 1 - alpha.
 
     ``n`` must be an integer; omitted, the minimal feasible count is used.
@@ -106,13 +89,12 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
     can cut, and the leftmost widest group is halved until there are ``n`` or
     none can be, then slivers above the first atom fill n.
     """
-    lvl = as_level(level)
-    alpha = lvl.alpha
+    alpha = _alpha(level)
     law = model.law
     if n is not None:
         n = _require_int(n, 1, "tranche count must be an integer >= 1", NInsufficient)
     if isinstance(law, UniformLaw):
-        n_min = min_subsidiaries(lvl)
+        n_min = min_subsidiaries(alpha)
         if n is None:
             n = n_min
         if n < n_min:
@@ -177,13 +159,16 @@ def build_partition(model: LossModel, level: RiskLevel | float, n: int | None = 
     return Partition(tuple(cuts))
 
 
-def decompose(model: LossModel, partition: Partition, level: RiskLevel | float) -> TrancheDecomposition:
-    """Price every tranche in one ``price`` call of the law: its mass, strict quantile and ES.
+def decompose(model: LossModel, partition: Partition, level: float) -> np.ndarray:
+    """Price every tranche in one ``price`` call of the law.
 
-    A partition from 0 to ``max_loss`` covers the support, so the masses are
-    not checked to sum to 1, which atoms need only within ``PROB_TOL``.
+    Returns a read-only (3, n) table whose rows are the tranche masses,
+    strict quantiles and ES, so ``masses, tranche_vars, tranche_es =
+    decompose(...)``. A partition from 0 to ``max_loss`` covers the support,
+    so the masses are not checked to sum to 1, which atoms need only within
+    ``PROB_TOL``.
     """
-    alpha = as_level(level).alpha
+    alpha = _alpha(level)
     cuts = partition.cuts
     if cuts[-1] != model.max_loss:
         raise PartitionMismatch(
@@ -191,19 +176,20 @@ def decompose(model: LossModel, partition: Partition, level: RiskLevel | float) 
         )
     table = np.array(model.law.price(cuts, alpha))
     table.flags.writeable = False
-    return TrancheDecomposition(model, partition, *table)
+    return table
 
 
-def additivity_gap(model: LossModel, partition, level: RiskLevel | float) -> float:
+def additivity_gap(model: LossModel, partition, level: float) -> float:
     """Summed tranche VaR of :func:`decompose` minus the whole-book VaR.
 
     ``partition`` is a :class:`Partition` or its bare cuts, which must run
-    from 0 to the top of the support. A negative gap is the arbitrage: the
-    parts are charged less than the whole.
+    from 0 to the top of the support. The tranche VaRs are added in tranche
+    order, as a report's ``sum_tranche_vars`` adds them. A negative gap is
+    the arbitrage: the parts are charged less than the whole.
     """
-    lvl = as_level(level)
-    dec = decompose(model, Partition(getattr(partition, "cuts", partition)), lvl)
-    return dec.total_capital - var(model, lvl)
+    alpha = _alpha(level)
+    _, tranche_vars, _ = decompose(model, Partition(getattr(partition, "cuts", partition)), alpha)
+    return sum(tranche_vars.tolist()) - var(model, alpha)
 
 
 def randomized_assign(subsidiaries: int, seed: int, losses) -> np.ndarray:
@@ -218,7 +204,7 @@ def randomized_assign(subsidiaries: int, seed: int, losses) -> np.ndarray:
     return rng.integers(0, subsidiaries, size=np.size(losses))
 
 
-def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | float) -> float:
+def randomized_unit_var(model: LossModel, subsidiaries: int, level: float) -> float:
     """Strict quantile of one subsidiary's loss under uniform random routing.
 
     The unit loss is X when the unit is drawn (probability 1/N) and zero
@@ -226,7 +212,7 @@ def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | 
     activation probability eats into the tail budget.
     """
     subsidiaries = _require_int(subsidiaries, 1, _SUBSIDIARIES)
-    alpha = as_level(level).alpha
+    alpha = _alpha(level)
     if _mass_ok(1.0 / subsidiaries, alpha):
         return 0.0
     p = 1.0 - subsidiaries * (1.0 - alpha)
@@ -235,9 +221,9 @@ def randomized_unit_var(model: LossModel, subsidiaries: int, level: RiskLevel | 
     return float(model.law.unit_var(*model.law.whole, p))
 
 
-def randomized_unit_es(model: LossModel, subsidiaries: int, level: RiskLevel | float) -> float:
+def randomized_unit_es(model: LossModel, subsidiaries: int, level: float) -> float:
     """Expected shortfall of one subsidiary's loss under uniform routing."""
     subsidiaries = _require_int(subsidiaries, 1, _SUBSIDIARIES)
-    alpha = as_level(level).alpha
+    alpha = _alpha(level)
     w0 = max(0.0, 1.0 - subsidiaries * (1.0 - alpha))
     return model.law.mean_tail(w0) / (subsidiaries * (1.0 - alpha))

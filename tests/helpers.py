@@ -35,13 +35,12 @@ from varsplit import (
     NegativeLoss,
     OverheadSchedule,
     Partition,
-    RiskLevel,
     SolveResult,
-    as_level,
     atoms,
     empirical,
 )
 from varsplit.loss_model import MASS_GUARD, DiscreteLaw
+from varsplit.risk_measures import _alpha
 
 #: Largest support the exhaustive oracle will enumerate.
 MAX_ORACLE_ATOMS = 12
@@ -104,14 +103,14 @@ def near_uniform_500_atoms() -> LossModel:
     return atoms(values, masses)
 
 
-def brute_force_oracle(model: LossModel, level: RiskLevel | float, n: int) -> float:
+def brute_force_oracle(model: LossModel, level: float, n: int) -> float:
     """Minimal capital over at most n contiguous groups, by full enumeration.
 
     Exponential in the atom count, so capped hard; meant as an independent
     check on the solver, not for production use. Groups are priced
     by :meth:`DiscreteLaw.unit_var`, the rule every tranche quantile uses.
     """
-    alpha = as_level(level).alpha
+    alpha = _alpha(level)
     law = model.law
     if not isinstance(law, DiscreteLaw):
         raise InvalidBounds("the oracle enumerates explicit atom lists only")
@@ -346,12 +345,11 @@ def _walk_cuts(rows, tstar, varpt, pvals, gstar: int, max_loss: float) -> Partit
 
 
 def reference_solve(
-    model: LossModel, level: RiskLevel | float, n_max: int, sched: OverheadSchedule
+    model: LossModel, level: float, n_max: int, sched: OverheadSchedule
 ) -> SolveResult:
     """``solve_with_overhead`` through the exact-r reference DP above, on
     tables built from their definition by :func:`tranche_tables`."""
-    lvl = as_level(level)
-    pvals, tstar = tranche_tables(model, lvl.alpha)
+    pvals, tstar = tranche_tables(model, _alpha(level))
     mp = pvals.size
     if mp == 0:
         raise InvalidBounds("all loss mass sits at zero; there is nothing to split")

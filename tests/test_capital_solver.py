@@ -121,8 +121,8 @@ class TestSolveTrancheDp:
             assert total == res.capital
             assert res.partition.n_tranches == res.best_n <= n
         res20 = solve_tranche_dp(near_uniform_500_atoms(), 0.95, 20)
-        dec = decompose(near_uniform_500_atoms(), res20.partition, 0.95)
-        assert dec.total_capital == res20.capital == 0.012
+        _, tranche_vars, _ = decompose(near_uniform_500_atoms(), res20.partition, 0.95)
+        assert sum(tranche_vars.tolist()) == res20.capital == 0.012
 
     def test_empirical_route_matches_atoms_route(self):
         """Duplicated samples and explicit atoms price identically."""
@@ -155,7 +155,8 @@ class TestSolveTrancheDp:
         model = empirical(np.random.default_rng(23).lognormal(0.0, 1.0, size=20_000))
         assert model.law.values.size == 20_000
         res = solve_tranche_dp(model, alpha, n)
-        assert decompose(model, res.partition, alpha).total_capital == res.capital
+        _, tranche_vars, _ = decompose(model, res.partition, alpha)
+        assert sum(tranche_vars.tolist()) == res.capital
         assert res.capital >= randomized_unit_var(model, res.best_n, alpha)
 
 
@@ -446,7 +447,7 @@ def test_one_costly_tranche_and_it_comes_first(case):
         res = solve_with_overhead(*case)
     except InvalidBounds:
         assume(False)
-    tranche_vars = decompose(model, res.partition, alpha).tranche_vars
+    _, tranche_vars, _ = decompose(model, res.partition, alpha)
     assert tranche_vars[0] == res.capital
     assert not np.any(tranche_vars[1:])
 
@@ -491,7 +492,8 @@ def test_a_top_float_pair_stays_together(case):
     )
     res = solve_tranche_dp(model, alpha, n)
     assert (res.capital, res.best_n) == best
-    assert decompose(model, res.partition, alpha).total_capital == res.capital
+    _, tranche_vars, _ = decompose(model, res.partition, alpha)
+    assert sum(tranche_vars.tolist()) == res.capital
 
 
 TOP_PAIR_BOOK = atoms(
@@ -524,7 +526,8 @@ def test_build_partition_packs_around_a_top_float_pair(case):
         with pytest.raises(NInsufficient, match=f"need >= {min(free)}$"):
             build_partition(model, alpha, n)
         return
-    dec = decompose(model, build_partition(model, alpha, n), alpha)
-    assert dec.partition.n_tranches == n
-    assert dec.total_capital == 0.0
-    assert all(_mass_ok(mass, alpha) for mass in dec.masses)
+    part = build_partition(model, alpha, n)
+    masses, tranche_vars, _ = decompose(model, part, alpha)
+    assert part.n_tranches == masses.size == n
+    assert sum(tranche_vars.tolist()) == 0.0
+    assert all(_mass_ok(mass, alpha) for mass in masses)

@@ -18,7 +18,7 @@ from varsplit import OverheadSchedule
 from varsplit.cli import (
     CapitalReport,
     RESTRICTION_NOTE,
-    TrancheRow,
+    UNIT_COLUMNS,
     emit_report,
     main,
     parse_cli,
@@ -81,7 +81,8 @@ class TestParseCli:
 
     def test_each_command_takes_only_the_flags_it_reads(self, capsys):
         """Each command's --help lists its own flags, 43 slots in all, and a
-        flag of another command is argparse's usage error."""
+        flag of another command, or a stray word, is a usage error under the
+        command's own usage line."""
         common = {"--dist", "--input", "--alpha", "--seed", "--format", "--out"}
         own_flags = {
             "var": set(),
@@ -100,15 +101,18 @@ class TestParseCli:
             assert shown - {"--help"} == common | own
             slots += len(common | own)
         assert slots == 43
-        for argv in (
-            ["randomize", *UNIFORM, "--tranches", "3"],
-            ["decompose", *UNIFORM, "--trials", "10"],
-            ["var", *UNIFORM, "--overhead", "none"],
+        for argv, extras in (
+            (["randomize", *UNIFORM, "--tranches", "3"], "--tranches 3"),
+            (["decompose", *UNIFORM, "--trials", "10"], "--trials 10"),
+            (["var", *UNIFORM, "--overhead", "none"], "--overhead none"),
+            (["var", "--dist", "atoms:1:1", "stray"], "stray"),
         ):
             with pytest.raises(SystemExit) as exc:
                 parse_cli(argv)
             assert exc.value.code == 2
-            assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: varsplit {argv[0]} "), err
+            assert err.endswith(f"varsplit {argv[0]}: error: unrecognized arguments: {extras}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -176,9 +180,9 @@ class TestReports:
         assert report.additivity_gap == 0.0
         assert report.trials == 0
         row, = report.tranches
-        assert row.mass == 1.0
-        assert row.var_analytic == 0.95
-        assert row.var_empirical is None
+        assert row["mass"] == 1.0
+        assert row["var_analytic"] == 0.95
+        assert row["var_empirical"] is None
         assert report.restriction_note == RESTRICTION_NOTE
 
     def test_decompose_is_analytic_only(self):
@@ -186,7 +190,7 @@ class TestReports:
         assert report.n_units == 21
         assert len(report.tranches) == 21
         assert report.trials == 0
-        assert all(row.var_empirical is None for row in report.tranches)
+        assert all(row["var_empirical"] is None for row in report.tranches)
         assert report.sum_tranche_vars == 0.0
         assert report.additivity_gap == -0.95
 
@@ -195,8 +199,8 @@ class TestReports:
         assert report.trials == 100000
         assert report.sum_tranche_vars == 0.0
         assert report.var_total == 0.95
-        assert all(row.var_empirical == 0.0 for row in report.tranches)
-        assert sum(row.mass for row in report.tranches) == pytest.approx(1.0, abs=1e-12)
+        assert all(row["var_empirical"] == 0.0 for row in report.tranches)
+        assert sum(row["mass"] for row in report.tranches) == pytest.approx(1.0, abs=1e-12)
 
     def test_randomize_single_atom_book(self):
         report = run(["randomize", "--dist", "atoms:100:1.0", "--subsidiaries", "21"])
@@ -206,9 +210,9 @@ class TestReports:
         assert report.sum_tranche_vars == 0.0
         assert report.additivity_gap == -100.0
         for row in report.tranches:
-            assert row.var_analytic == 0.0
-            assert row.var_empirical == 0.0
-            assert row.mass == pytest.approx(1.0 / 21.0, abs=1e-15)
+            assert row["var_analytic"] == 0.0
+            assert row["var_empirical"] == 0.0
+            assert row["mass"] == pytest.approx(1.0 / 21.0, abs=1e-15)
 
     def test_solve_worked_instance(self):
         report = run(["solve", *THREE_ATOMS, "--max-desks", "2"])
@@ -248,8 +252,8 @@ class TestReports:
             assert len(report.cuts) == report.n_units + 1
         if argv[0] in ("var", "es"):
             row, = report.tranches
-            assert row.var_analytic == report.var_total
-            assert row.es_analytic == report.es_total
+            assert row["var_analytic"] == report.var_total
+            assert row["es_analytic"] == report.es_total
 
     def test_self_consistency(self):
         """Stored aggregates must recompute exactly from the rows."""
@@ -261,10 +265,10 @@ class TestReports:
         ):
             report = run(argv)
             assert report.sum_tranche_vars == float(
-                sum(row.var_analytic for row in report.tranches)
+                sum(row["var_analytic"] for row in report.tranches)
             )
             assert report.sum_tranche_es == float(
-                sum(row.es_analytic for row in report.tranches)
+                sum(row["es_analytic"] for row in report.tranches)
             )
             assert report.additivity_gap == report.sum_tranche_vars - report.var_total
 
@@ -305,8 +309,8 @@ class TestEmitReport:
 
     def test_csv_row_count(self):
         rows = [
-            TrancheRow(mass=0.5, var_analytic=0.0, var_empirical=0.0, es_analytic=2.5),
-            TrancheRow(mass=0.5, var_analytic=0.0, var_empirical=0.0, es_analytic=2.5),
+            {"mass": 0.5, "var_analytic": 0.0, "var_empirical": 0.0, "es_analytic": 2.5},
+            {"mass": 0.5, "var_analytic": 0.0, "var_empirical": 0.0, "es_analytic": 2.5},
         ]
         text = emit_report(self._small_report(rows), fmt="csv", out="/dev/null")
         lines = text.strip().split("\n")
@@ -334,7 +338,7 @@ class TestEmitReport:
             ),
             ((), "total,0.0,0.0,,5.0,5.0,5.0,-5.0,0.95,0,42,"),
             (
-                (TrancheRow(*np.array([0.5, 0.0, 0.5, 2.5])),),
+                (dict(zip(UNIT_COLUMNS, np.array([0.5, 0.0, 0.5, 2.5]))),),
                 "1,0.5,0.0,0.5,2.5,,,,,,,\ntotal,0.5,0.0,0.5,5.0,5.0,5.0,-5.0,0.95,0,42,",
             ),
         ],
@@ -383,9 +387,9 @@ class TestEmitReport:
         assert doc["var_total"] == report.var_total
         assert doc["additivity_gap"] == report.additivity_gap
         for row, got in zip(report.tranches, doc["tranches"]):
-            assert got["mass"] == row.mass
-            assert got["var_analytic"] == row.var_analytic
-            assert got["es_analytic"] == row.es_analytic
+            assert got["mass"] == row["mass"]
+            assert got["var_analytic"] == row["var_analytic"]
+            assert got["es_analytic"] == row["es_analytic"]
 
 
 class TestMain:

@@ -126,7 +126,7 @@ def test_empirical_vars_match_explicit_columns(action, source, alpha, trials, un
     cols = columns(command, report, losses)
     assert len(cols) == len(report.tranches)
     for col, row in zip(cols, report.tranches):
-        assert row.var_empirical == var(empirical(col), float(alpha))
+        assert row["var_empirical"] == var(empirical(col), float(alpha))
 
 
 def test_a_draw_on_a_cut_goes_to_the_tranche_above():
@@ -144,7 +144,7 @@ def test_a_draw_on_a_cut_goes_to_the_tranche_above():
     losses = sample(build_model(command.model_spec), _substream(4, 0), 1000)
     assert np.count_nonzero(losses == pair) > 300
     want = [var(empirical(col), 0.3) for col in columns(command, report, losses)]
-    assert [row.var_empirical for row in report.tranches] == want == [0.0, 0.0]
+    assert [row["var_empirical"] for row in report.tranches] == want == [0.0, 0.0]
 
 
 def test_monte_carlo_memory_is_bounded_by_trials():

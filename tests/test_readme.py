@@ -27,7 +27,7 @@ LIBRARY = {
     "var(book, 0.95)": "0.95",
     "expected_shortfall(book, 0.95)": "0.975",
     "n = min_subsidiaries(0.95)": "21",
-    "dec.total_capital": "0.0",
+    "sum(tranche_vars)": "0.0",
 }
 
 
@@ -109,7 +109,8 @@ def test_library_snippet():
             value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope)
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
-            value = scope[stmt.targets[0].id] if isinstance(stmt, ast.Assign) else None
+            target = stmt.targets[0] if isinstance(stmt, ast.Assign) else None
+            value = scope[target.id] if isinstance(target, ast.Name) else None
         comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:]
         shown = re.match(r"\s*#\s*(-?\d+(?:\.\d+)?)", comment)
         if shown is None:

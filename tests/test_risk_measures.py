@@ -12,9 +12,7 @@ from varsplit import (
     InvalidLevel,
     Partition,
     PartitionMismatch,
-    RiskLevel,
     additivity_gap,
-    as_level,
     atoms,
     build_partition,
     cdf,
@@ -23,7 +21,12 @@ from varsplit import (
     es_of_tranche,
     expected_shortfall,
     intervals_from_cuts,
+    min_subsidiaries,
+    randomized_unit_es,
+    randomized_unit_var,
     sample,
+    solve_tranche_dp,
+    solve_with_overhead,
     uniform,
     var,
     var_of_tranche,
@@ -33,16 +36,52 @@ U01 = uniform(0.0, 1.0)
 A3 = atoms([0.0, 5.0, 10.0], [0.5, 0.3, 0.2])
 
 
-class TestRiskLevel:
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.3, 1.5])
-    def test_rejects_out_of_range(self, alpha):
-        with pytest.raises(InvalidLevel, match="strictly between 0 and 1"):
-            RiskLevel(alpha)
+#: Every public function that takes a level, called on A3 with that level.
+LEVEL_ENTRY_POINTS = {
+    "var": lambda lvl: var(A3, lvl),
+    "expected_shortfall": lambda lvl: expected_shortfall(A3, lvl),
+    "var_of_tranche": lambda lvl: var_of_tranche(A3, Interval(0.0, 10.0, True), lvl),
+    "es_of_tranche": lambda lvl: es_of_tranche(A3, Interval(0.0, 10.0, True), lvl),
+    "build_partition": lambda lvl: build_partition(A3, lvl),
+    "decompose": lambda lvl: decompose(A3, Partition((0.0, 10.0)), lvl),
+    "additivity_gap": lambda lvl: additivity_gap(A3, (0.0, 10.0), lvl),
+    "min_subsidiaries": lambda lvl: min_subsidiaries(lvl),
+    "randomized_unit_var": lambda lvl: randomized_unit_var(A3, 21, lvl),
+    "randomized_unit_es": lambda lvl: randomized_unit_es(A3, 21, lvl),
+    "solve_with_overhead": lambda lvl: solve_with_overhead(A3, lvl, 2),
+    "solve_tranche_dp": lambda lvl: solve_tranche_dp(A3, lvl, 2),
+}
 
-    def test_as_level_accepts_floats_and_levels(self):
-        assert as_level(0.95).alpha == 0.95
-        lvl = RiskLevel(0.9)
-        assert as_level(lvl) is lvl
+
+def _level_errors(level) -> dict:
+    """Each entry point's (error type, message) at ``level``; None where it returns."""
+    errors = {}
+    for name, call in LEVEL_ENTRY_POINTS.items():
+        try:
+            call(level)
+        except ValueError as exc:
+            errors[name] = (type(exc), str(exc))
+        else:
+            errors[name] = None
+    return errors
+
+
+class TestRiskLevel:
+    """A level is a float, and every public function that reads one checks it."""
+
+    @pytest.mark.parametrize(
+        "alpha", [0, 1, 0.0, 1.0, -0.2, -0.3, 1.5, float("nan"), float("inf"), True]
+    )
+    def test_rejects_out_of_range(self, alpha):
+        want = (InvalidLevel, f"alpha must lie strictly between 0 and 1, got {float(alpha)}")
+        assert _level_errors(alpha) == dict.fromkeys(LEVEL_ENTRY_POINTS, want)
+
+    def test_a_string_that_is_no_number_is_a_plain_value_error(self):
+        kinds = {name: err and err[0] for name, err in _level_errors("x").items()}
+        assert kinds == dict.fromkeys(LEVEL_ENTRY_POINTS, ValueError)
+
+    def test_the_calls_fail_on_the_level_alone(self):
+        assert _level_errors(0.1) == dict.fromkeys(LEVEL_ENTRY_POINTS)
 
 
 class TestVar:
@@ -290,15 +329,16 @@ class TestAdditivityGap:
             additivity_gap(A3, (1.0, 10.0), 0.95)
 
     def test_total_capital_is_the_reports_sum(self):
-        """Summed VaR adds the tranches in order, as the report's
+        """The gap adds the tranche VaRs in order, as the report's
         ``sum_tranche_vars`` does; numpy's pairwise sum rounds differently here."""
         values = [k / 7 for k in range(1, 11)]
         model = atoms(values, [0.1] * 10)
         cuts = (0.0, *[(a + b) / 2 for a, b in zip(values, values[1:])], values[-1])
-        dec = decompose(model, Partition(cuts), 0.95)
-        assert dec.total_capital == sum(dec.tranche_vars.tolist()) == 7.857142857142857
+        _, tranche_vars, _ = decompose(model, Partition(cuts), 0.95)
+        total = sum(tranche_vars.tolist())
+        assert total == 7.857142857142857 != float(np.sum(tranche_vars))
         gap = additivity_gap(model, cuts, 0.95)
-        assert gap == dec.total_capital - var(model, 0.95) == 6.428571428571428
+        assert gap == total - var(model, 0.95) == 6.428571428571428
 
     def test_subadditive_direction_for_es(self):
         """Tranche ES never undercuts whole-book ES on tested partitions."""

@@ -2,6 +2,7 @@
 
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from varsplit import (
     Partition,
     PartitionMismatch,
     ProbsNotNormalized,
-    RiskLevel,
     atoms,
     build_partition,
     decompose,
@@ -104,7 +104,9 @@ class TestMinSubsidiaries:
         assert min_subsidiaries(alpha) == expected
 
     def test_accepts_risk_level(self):
-        assert min_subsidiaries(RiskLevel(0.95)) == 21
+        """A level is any real number that float() reads."""
+        for level in (0.95, np.float64(0.95), Fraction(19, 20)):
+            assert min_subsidiaries(level) == 21
 
     def test_result_is_tight(self):
         """N units are free, N - 1 units cannot be, up to alpha = 1 - 1e-11: a
@@ -159,7 +161,8 @@ class TestBuildPartitionUniform:
         part = build_partition(model, 0.9)
         assert part.n_tranches == 11
         assert part.cuts[0] == 0.0 and part.cuts[-1] == 3.0
-        assert decompose(model, part, 0.9).total_capital == 0.0
+        _, tranche_vars, _ = decompose(model, part, 0.9)
+        assert sum(tranche_vars.tolist()) == 0.0
 
     def test_insufficient_count_rejected(self):
         with pytest.raises(NInsufficient, match="need >= 21"):
@@ -172,7 +175,8 @@ class TestBuildPartitionUniform:
     def test_extra_tranches_allowed(self):
         part = build_partition(U01, 0.95, 30)
         assert part.n_tranches == 30
-        assert decompose(U01, part, 0.95).total_capital == 0.0
+        _, tranche_vars, _ = decompose(U01, part, 0.95)
+        assert sum(tranche_vars.tolist()) == 0.0
 
     def test_nonpositive_count_rejected(self):
         with pytest.raises(NInsufficient, match=">= 1"):
@@ -198,9 +202,9 @@ class TestBuildPartitionDiscrete:
         model = flat_64_atoms()
         part = build_partition(model, 0.95)
         assert part.n_tranches == 22
-        dec = decompose(model, part, 0.95)
-        assert dec.total_capital == 0.0
-        assert np.all(dec.masses < 0.05)
+        masses, tranche_vars, _ = decompose(model, part, 0.95)
+        assert sum(tranche_vars.tolist()) == 0.0
+        assert np.all(masses < 0.05)
 
     def test_insufficient_count_for_atoms(self):
         with pytest.raises(NInsufficient, match="need >= 22"):
@@ -210,16 +214,17 @@ class TestBuildPartitionDiscrete:
         model = flat_64_atoms()
         part = build_partition(model, 0.95, 30)
         assert part.n_tranches == 30
-        assert decompose(model, part, 0.95).total_capital == 0.0
+        _, tranche_vars, _ = decompose(model, part, 0.95)
+        assert sum(tranche_vars.tolist()) == 0.0
 
     def test_sliver_fallback_when_atoms_run_out(self):
         """More tranches than atoms still works; the spares carry no mass."""
         model = atoms([1.0, 2.0, 3.0], [0.3, 0.4, 0.3])
         part = build_partition(model, 0.5, 6)
         assert part.n_tranches == 6
-        dec = decompose(model, part, 0.5)
-        assert dec.total_capital == 0.0
-        assert np.sum(dec.masses == 0.0) == 3
+        masses, tranche_vars, _ = decompose(model, part, 0.5)
+        assert sum(tranche_vars.tolist()) == 0.0
+        assert np.sum(masses == 0.0) == 3
 
     def test_slivers_that_floats_cannot_hold_are_refused_by_count(self):
         """0.1 * 7 is the float just above 0.7, and the first cut lands on it:
@@ -267,14 +272,15 @@ class TestBuildPartitionDiscrete:
         rng = np.random.default_rng(52)
         model = empirical(rng.integers(1, 101, size=400).astype(float))
         part = build_partition(model, 0.9)
-        dec = decompose(model, part, 0.9)
-        assert dec.total_capital == 0.0
-        assert np.all(dec.masses < 0.1)
+        masses, tranche_vars, _ = decompose(model, part, 0.9)
+        assert sum(tranche_vars.tolist()) == 0.0
+        assert np.all(masses < 0.1)
         # 0.1 * 7 is the float just above 0.7; the cut between them lands on it
         model = empirical([0.7] * 3 + [0.1 * 7] * 3 + [5.0] * 4)
-        dec = decompose(model, build_partition(model, 0.5), 0.5)
-        assert dec.partition.cuts == (0.0, 0.1 * 7, 2.85, 5.0)
-        assert np.all(dec.masses < 0.5)
+        part = build_partition(model, 0.5)
+        masses, _, _ = decompose(model, part, 0.5)
+        assert part.cuts == (0.0, 0.1 * 7, 2.85, 5.0)
+        assert np.all(masses < 0.5)
 
     @pytest.mark.parametrize("low", [0.7, 0.3])
     def test_no_float_cut_separates_the_top_atom_from_its_neighbour(self, low):
@@ -295,24 +301,24 @@ class TestBuildPartitionDiscrete:
 
 class TestDecompose:
     def test_zero_capital_for_minimal_uniform_partition(self):
-        dec = decompose(U01, build_partition(U01, 0.95), 0.95)
-        assert list(dec.tranche_vars) == [0.0] * 21
-        assert dec.total_capital == 0.0
+        _, tranche_vars, _ = decompose(U01, build_partition(U01, 0.95), 0.95)
+        assert list(tranche_vars) == [0.0] * 21
+        assert sum(tranche_vars.tolist()) == 0.0
 
     def test_two_heavy_tranches_both_pay(self):
         """Half-unit tranches each carry mass 0.5, far above the 0.05 budget."""
-        dec = decompose(U01, Partition((0.0, 0.5, 1.0)), 0.95)
-        assert dec.tranche_vars[0] == pytest.approx(0.45, abs=1e-12)
-        assert dec.tranche_vars[1] == pytest.approx(0.95, abs=1e-12)
+        _, tranche_vars, _ = decompose(U01, Partition((0.0, 0.5, 1.0)), 0.95)
+        assert tranche_vars[0] == pytest.approx(0.45, abs=1e-12)
+        assert tranche_vars[1] == pytest.approx(0.95, abs=1e-12)
 
     def test_single_tranche_is_whole_book(self):
-        dec = decompose(U01, Partition((0.0, 1.0)), 0.95)
-        assert list(dec.tranche_vars) == [var(U01, 0.95)]
-        assert dec.total_capital == 0.95
+        _, tranche_vars, _ = decompose(U01, Partition((0.0, 1.0)), 0.95)
+        assert list(tranche_vars) == [var(U01, 0.95)]
+        assert sum(tranche_vars.tolist()) == 0.95
 
     def test_masses_sum_to_one(self):
-        dec = decompose(U01, Partition((0.0, 0.2, 0.7, 1.0)), 0.95)
-        assert float(np.sum(dec.masses)) == pytest.approx(1.0, abs=1e-12)
+        masses, _, _ = decompose(U01, Partition((0.0, 0.2, 0.7, 1.0)), 0.95)
+        assert float(np.sum(masses)) == pytest.approx(1.0, abs=1e-12)
 
     @given(probs=near_edge_probs(), alpha=st.sampled_from([0.5, 0.75, 0.9]))
     @example(
@@ -327,7 +333,8 @@ class TestDecompose:
             part = build_partition(model, alpha)
         except (ProbsNotNormalized, AtomTooHeavy):
             return
-        assert decompose(model, part, alpha).total_capital == 0.0
+        _, tranche_vars, _ = decompose(model, part, alpha)
+        assert sum(tranche_vars.tolist()) == 0.0
 
     def test_partition_must_span_support(self):
         with pytest.raises(PartitionMismatch, match="ends at"):
@@ -343,8 +350,7 @@ class TestDecompose:
     def test_columns_match_the_single_tranche_functions(self, case):
         """Each column equals its one-tranche function on every interval, bit for bit."""
         model, alpha, part = case
-        dec = decompose(model, part, alpha)
-        got = zip(dec.masses.tolist(), dec.tranche_vars.tolist(), dec.tranche_es.tolist())
+        got = zip(*decompose(model, part, alpha).tolist())
         want = [
             (mass_in(model, iv), var_of_tranche(model, iv, alpha), es_of_tranche(model, iv, alpha))
             for iv in intervals_from_cuts(part.cuts)
@@ -366,7 +372,7 @@ class TestSplitRealization:
                                  "--tranches", "2", "--trials", "1"])
         monkeypatch.setattr(varsplit.cli, "sample", lambda model, seed, n: np.array([x]))
         report = run_simulation(command)
-        return report.cuts, [row.var_empirical for row in report.tranches]
+        return report.cuts, [row["var_empirical"] for row in report.tranches]
 
     def test_boundary_goes_right(self, monkeypatch):
         """0.5 belongs to [0.5, 1], the lo-inclusive side."""
@@ -444,7 +450,7 @@ class TestValidateScheme:
         argv = ["randomize", "--dist", dist, "--alpha", "0.95", "--subsidiaries", str(n)]
         rows = run_simulation(parse_cli([*argv, "--trials", "10"])).tranches
         assert len(rows) == n
-        return {row.mass for row in rows}, {row.var_analytic for row in rows}
+        return {row["mass"] for row in rows}, {row["var_analytic"] for row in rows}
 
     def test_minimal_count_passes(self):
         (activation,), unit_vars = self.units("atoms:100:1", 21)
@@ -517,9 +523,9 @@ class TestZeroCapitalProperty:
             model = uniform(a, a + float(rng.uniform(0.5, 10.0)))
             alpha = float(rng.choice([0.9, 0.95, 0.99]))
             n = min_subsidiaries(alpha) + int(rng.integers(0, 4))
-            dec = decompose(model, build_partition(model, alpha, n), alpha)
-            assert dec.total_capital == 0.0
-            assert np.all(dec.masses < 1.0 - alpha)
+            masses, tranche_vars, _ = decompose(model, build_partition(model, alpha, n), alpha)
+            assert sum(tranche_vars.tolist()) == 0.0
+            assert np.all(masses < 1.0 - alpha)
 
     def test_discrete_models(self):
         rng = np.random.default_rng(502)
@@ -527,9 +533,9 @@ class TestZeroCapitalProperty:
             m = int(rng.integers(40, 120))
             values = np.sort(rng.choice(1000, size=m, replace=False)).astype(float)
             model = atoms(values, np.full(m, 1.0) / m)
-            dec = decompose(model, build_partition(model, 0.9), 0.9)
-            assert dec.total_capital == 0.0
-            assert np.all(dec.masses < 0.1)
+            masses, tranche_vars, _ = decompose(model, build_partition(model, 0.9), 0.9)
+            assert sum(tranche_vars.tolist()) == 0.0
+            assert np.all(masses < 0.1)
 
     def test_monte_carlo_consistency(self):
         """Simulated tranche quantiles agree with the two analytic routes."""
