@@ -86,6 +86,14 @@ class Interval:
         return self.lo <= x < self.hi
 
 
+def _unit_sums(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of each ``x[a[k]:b[k]]`` for consecutive units, each ``a`` the previous
+    ``b``; ``np.add.reduceat`` sums each unit alone, whatever units lie beside it."""
+    sums, full = np.zeros(a.shape), a < b
+    sums[full] = np.add.reduceat(x[a[0] : b[-1]], (a - a[0])[full])
+    return sums
+
+
 def level_weight(p: float, total: float) -> float:
     """The weight a prefix must strictly exceed to pass level ``p`` of ``total``.
 
@@ -178,26 +186,30 @@ class DiscreteLaw:
         t = self.top(b, alpha)
         return np.where(a < t, self.values[t - 1], 0.0)
 
-    def tail(self, a: int, b: int, p: float) -> float:
-        """Integral over levels (p, 1) of the quantile of X * 1{X among values[a:b]}."""
-        shift = self.total - self.cum[b]
-        lo = np.maximum(self.cum[a:b] + shift, p * self.total)
-        hi = np.minimum(self.cum[a + 1 : b + 1] + shift, self.total)
-        return float(np.dot(self.values[a:b], np.clip(hi - lo, 0.0, None))) / self.total
+    def tail(self, a, b, p: float) -> np.ndarray:
+        """Integral over levels (p, 1) of the quantile of X * 1{X among values[a:b]}.
 
-    def mean_tail(self, p: float) -> float:
-        return self.tail(*self.whole, p)
+        ``a`` and ``b`` are one unit's edges or arrays of consecutive units'. The
+        tail weight ``(1 - p) * total`` fills from the top atom down, each atom
+        taking ``cum[j + 1] - cum[j]`` or what is left, scaled by ``total`` so no
+        term exceeds its value, and no BLAS call sums the terms."""
+        shape = np.shape(b)
+        a, b = np.atleast_1d(a, b)
+        first, last = int(a[0]), int(b[-1])
+        cum = self.cum[first : last + 1]
+        left = (1.0 - p) * self.total - (np.repeat(self.cum[b], b - a) - cum[1:])
+        share = np.clip(np.minimum(np.diff(cum), left), 0.0, None) / self.total
+        return _unit_sums(self.values[first:last] * share, a - first, b - first).reshape(shape)
 
     def price(self, cuts, alpha: float, closed: bool = True) -> tuple[np.ndarray, ...]:
         """Mass, VaR and ES at ``alpha`` of each tranche ``[cuts[k], cuts[k + 1])``, the
-        last closed when ``closed``. Masses and ES stay sums over each tranche's
-        atoms: ``np.add.reduceat`` and ``cum`` differences round differently."""
+        last closed when ``closed``, in one array pass over the atoms."""
         edges = np.searchsorted(self.values, cuts)
         edges[-1] = np.searchsorted(self.values, cuts[-1], side="right" if closed else "left")
-        spans = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
-        mass = [float(np.sum(self.weights[a:b])) / self.total for a, b in spans]
-        es = [self.tail(a, b, alpha) / (1.0 - alpha) for a, b in spans]
-        return np.array(mass), self.unit_var(edges[:-1], edges[1:], alpha), np.array(es)
+        a, b = edges[:-1], edges[1:]
+        with np.errstate(over="ignore"):  # no unit's ES exceeds the top atom
+            es = np.minimum(self.tail(a, b, alpha) / (1.0 - alpha), self.upper)
+        return _unit_sums(self.weights, a, b) / self.total, self.unit_var(a, b, alpha), es
 
     def cdf(self, x: float) -> float:
         return float(self.cum[np.searchsorted(self.values, x, side="right")]) / self.total
@@ -226,45 +238,33 @@ class UniformLaw:
     def whole(self) -> tuple[float, float]:
         return self.lower, self.upper
 
-    def mass(self, lo: float, hi: float) -> float:
-        return 0.0 if hi <= lo else (hi - lo) / (self.upper - self.lower)
+    def mass(self, lo, hi) -> np.ndarray:
+        return np.where(lo < hi, (hi - lo) / (self.upper - self.lower), 0.0)
 
-    def unit_var(self, lo: float, hi: float, alpha: float) -> float:
-        """Strict quantile of X * 1{X in [lo, hi)} at level alpha.
-
-        The unit is free when its zero weight ``1 - mass`` passes alpha
-        under :func:`level_weight`, the rule both discrete variants use.
-        """
-        if hi <= lo:
-            return 0.0
+    def unit_var(self, lo, hi, alpha) -> np.ndarray:
+        """Strict quantile of X * 1{X in [lo, hi)} at level alpha, elementwise: 0 when the
+        zero weight ``1 - mass`` passes alpha under :func:`level_weight`, as for atoms."""
         base = 1.0 - self.mass(lo, hi)
-        if base > level_weight(alpha, 1.0):
-            return 0.0
-        return lo + max(alpha - base, 0.0) * (self.upper - self.lower)
+        costly = (lo < hi) & (base <= level_weight(alpha, 1.0))
+        return np.where(costly, lo + np.maximum(alpha - base, 0.0) * (self.upper - self.lower), 0.0)
 
-    def tail(self, lo: float, hi: float, p: float) -> float:
-        if hi <= lo:
-            return 0.0
+    def tail(self, lo, hi, p: float) -> np.ndarray:
+        """Integral over levels (p, 1) of the quantile of X * 1{X in [lo, hi)}, elementwise."""
         width = self.upper - self.lower
         q = (hi - lo) / width
         base = 1.0 - q
-        u0 = max(p, base)
-        return lo * (1.0 - u0) + width * (q * q - (u0 - base) * (u0 - base)) / 2.0
-
-    def mean_tail(self, p: float) -> float:
-        return self.lower * (1.0 - p) + (self.upper - self.lower) * (1.0 - p * p) / 2.0
-
-    def unit_es(self, lo: float, hi: float, alpha: float) -> float:
-        """ES of X * 1{X in [lo, hi)}; the whole support reads the book's closed form."""
-        if (lo, hi) == self.whole:
-            return self.lower + (self.upper - self.lower) * (1.0 + alpha) / 2.0
-        return self.tail(lo, hi, alpha) / (1.0 - alpha)
+        u0 = np.maximum(p, base)
+        area = lo * (1.0 - u0) + width * (q * q - (u0 - base) * (u0 - base)) / 2.0
+        return np.where(lo < hi, area, 0.0)
 
     def price(self, cuts, alpha: float, closed: bool = True) -> tuple[np.ndarray, ...]:
-        """:meth:`DiscreteLaw.price` on the density, each tranche clipped to the support."""
-        spans = [(max(lo, self.lower), min(hi, self.upper)) for lo, hi in zip(cuts, cuts[1:])]
-        rows = [(self.mass(*s), self.unit_var(*s, alpha), self.unit_es(*s, alpha)) for s in spans]
-        return tuple(np.array(rows).T)
+        """:meth:`DiscreteLaw.price` on the density, each tranche clipped to the
+        support; a tranche over the whole support reads the book's closed form."""
+        lo, hi = np.maximum(cuts[:-1], self.lower), np.minimum(cuts[1:], self.upper)
+        whole = (lo == self.lower) & (hi == self.upper)
+        book = self.lower + (self.upper - self.lower) * (1.0 + alpha) / 2.0
+        es = np.where(whole, book, self.tail(lo, hi, alpha) / (1.0 - alpha))
+        return self.mass(lo, hi), self.unit_var(lo, hi, alpha), es
 
     def cdf(self, x: float) -> float:
         if self.lower <= x < self.upper:

@@ -101,8 +101,7 @@ def build_partition(model: LossModel, level: float, n: int | None = None) -> Par
             raise NInsufficient(
                 f"{n} tranches cannot all have mass below 1 - alpha; need >= {n_min}"
             )
-        inner = [law.unit_var(*law.whole, k / n) for k in range(1, n)]
-        return Partition((0.0, *inner, law.upper))
+        return Partition((0.0, *law.unit_var(*law.whole, np.arange(1, n) / n).tolist(), law.upper))
 
     import heapq  # here, so `import varsplit` does not load it
 
@@ -222,8 +221,8 @@ def randomized_unit_var(model: LossModel, subsidiaries: int, level: float) -> fl
 
 
 def randomized_unit_es(model: LossModel, subsidiaries: int, level: float) -> float:
-    """Expected shortfall of one subsidiary's loss under uniform routing."""
+    """Expected shortfall of one subsidiary's loss under uniform routing, at most the top loss."""
     subsidiaries = _require_int(subsidiaries, 1, _SUBSIDIARIES)
     alpha = _alpha(level)
-    w0 = max(0.0, 1.0 - subsidiaries * (1.0 - alpha))
-    return model.law.mean_tail(w0) / (subsidiaries * (1.0 - alpha))
+    budget = subsidiaries * (1.0 - alpha)
+    return min(float(model.law.tail(*model.law.whole, max(0.0, 1.0 - budget))) / budget, model.max_loss)

@@ -6,7 +6,10 @@ that runs it on two source trees.
 runs every line of ``lines(S, N)`` through ``varsplit.cli.main`` in process
 on each tree: first with an empty book cache, then again with the cache the
 first run left. It prints each line whose stdout, stderr or exit code
-differs between the trees, with both outputs, and exits 1 if any does.
+differs between the trees, with both outputs, then how many cells differ
+per report field (a JSON key or CSV column; ``exit``, ``stderr`` or
+``stdout`` for the rest) and model kind (``atoms``, ``uniform`` or ``book``),
+and exits 1 if any line differs.
 
 The lines cover ``var``, ``es``, ``decompose``, ``simulate``, ``randomize``
 and ``solve``; atom lists with and without an atom at 0, non-dyadic decimal
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -29,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -174,6 +179,47 @@ def run_tree(src: str, seed: int, count: int, books: str) -> list:
     return results
 
 
+def _kind(argv: list[str]) -> str:
+    """The line's model kind: ``book`` for a CSV ``--input``, else the ``--dist`` kind."""
+    return "book" if "--input" in argv else argv[argv.index("--dist") + 1].partition(":")[0]
+
+
+def _cells(text: str) -> dict[str, list]:
+    """A report's cells by field: JSON keys, each tranche row's keys among them,
+    or CSV columns; any other output is one ``stdout`` cell."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict):
+        cells = {key: [value] for key, value in doc.items() if key != "tranches"}
+        for row in doc.get("tranches", []):
+            for key, value in row.items():
+                cells.setdefault(key, []).append(value)
+        return cells
+    rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows):
+        return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
+    return {"stdout": [text]}
+
+
+def cell_counts(argv: list[str], before: list, after: list) -> Counter:
+    """Differing cells of one line by (field, model kind). ``before`` and
+    ``after`` are its [cold, warm] outcomes; a warm run that differs as the
+    cold one does is counted once."""
+    counts, kind = Counter(), _kind(argv)
+    pairs = {json.dumps(pair) for pair in zip(before, after) if pair[0] != pair[1]}
+    for (code0, out0, err0), (code1, out1, err1) in map(json.loads, sorted(pairs)):
+        counts["exit", kind] += code0 != code1
+        counts["stderr", kind] += err0 != err1
+        cells0, cells1 = _cells(out0), _cells(out1)
+        for field in cells0.keys() | cells1.keys():
+            col0, col1 = cells0.get(field, []), cells1.get(field, [])
+            counts[field, kind] += sum(repr(x) != repr(y) for x, y in zip(col0, col1))
+            counts[field, kind] += abs(len(col0) - len(col1))
+    return +counts
+
+
 def compare(parent: str, change: str, seed: int, count: int) -> int:
     with tempfile.TemporaryDirectory() as books:
         for i, (_, book) in enumerate(lines(seed, count)):
@@ -188,11 +234,16 @@ def compare(parent: str, change: str, seed: int, count: int) -> int:
             env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
             done = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
             outcomes.append(json.loads(done.stdout))
-    differ = 0
+    differ, cells = 0, Counter()
     for (argv, _), before, after in zip(lines(seed, count), *outcomes):
         if before != after:
             differ += 1
+            cells += cell_counts(argv, before, after)
             print(json.dumps({"argv": argv, "parent": before, "change": after}, indent=1))
+    if cells:
+        print(f"differing cells by field and model kind (seed {seed}):")
+        for (field, kind), n in sorted(cells.items()):
+            print(f"  {field:<20} {kind:<8} {n}")
     print(f"{differ} of {count} lines differ (seed {seed})", file=sys.stderr)
     return 1 if differ else 0
 

@@ -14,7 +14,9 @@ table, over ``tranche_tables`` built from their definition, that the
 solver's walk must match bit for bit, ``reference_partition_cuts`` the
 pair-list split that ``build_partition`` must match cut for cut, ``csv_rows_oracle``
 the row-by-row CSV reader the ingest suite checks ``load_losses_csv``
-against, ``sorted_sample`` the sample an empirical model's law counts, and
+against, ``sorted_sample`` the sample an empirical model's law counts, ``exact_mass``
+and ``exact_tail`` the rational mass and tail integral of a unit of a
+discrete law that ``price``'s floats are measured against in ``ulps``, and
 the ``uniform_*`` functions the closed forms the uniform law must reproduce
 bit for bit.
 """
@@ -23,6 +25,7 @@ import csv
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +376,46 @@ def reference_solve(
 # The closed forms of a uniform model as they stood before the model held a
 # law, each body kept verbatim except that it reads the bounds from model.law;
 # the level checks that ran before them are left to the callers.
+
+
+def _fixed(x) -> int:
+    """``x * 2**1074`` as an integer: every finite double is a whole multiple of ``2**-1074``."""
+    n, d = float(x).as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+_ONE = 2**1074  # 1.0 in the units of _fixed
+
+
+def exact_mass(law: DiscreteLaw, a: int, b: int) -> Fraction:
+    """The weight of ``values[a:b]`` over ``total``, summed from the law's float weights exactly."""
+    return Fraction(sum(map(_fixed, law.weights[a:b].tolist())), _fixed(law.total))
+
+
+def exact_tail(law: DiscreteLaw, a: int, b: int, p) -> Fraction:
+    """Integral over levels (p, 1) of the quantile of X * 1{X among values[a:b]}, exactly.
+
+    The law's floats are read as the rationals they are. The unit's loss is
+    0 with weight ``total - (cum[b] - cum[a])``, which fills the bottom of
+    the level axis, and ``values[j]`` with weight ``cum[j + 1] - cum[j]``
+    above it; ``p`` is a float or a Fraction.
+    """
+    cum = [_fixed(c) * _ONE for c in law.cum[a : b + 1].tolist()]
+    total = _fixed(law.total) * _ONE
+    shift = total - cum[-1]
+    level = Fraction(p) * _fixed(law.total) * _ONE  # p * total, in the units of cum
+    num, den = level.numerator, level.denominator
+    acc = 0
+    for v, lo, hi in zip(law.values[a:b].tolist(), cum, cum[1:]):
+        w = (hi + shift) * den - max((lo + shift) * den, num)
+        if w > 0:
+            acc += _fixed(v) * w
+    return Fraction(acc, den * _ONE) / total
+
+
+def ulps(got: float, exact: Fraction) -> float:
+    """How many units in the last place of ``float(exact)`` separate ``got`` from ``exact``."""
+    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
 
 
 def uniform_cdf(model: LossModel, x: float) -> float:

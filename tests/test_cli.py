@@ -553,6 +553,36 @@ def _run_module(argv, stdout=subprocess.PIPE, **env):
     )
 
 
+def test_es_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A 50 000-value book prints the same ES under one and two OpenBLAS
+    threads: each unit's ES is summed by ``np.add.reduceat``, which no BLAS
+    splits. When ``np.dot`` summed it, this seed's book printed two ES values
+    on a two-core machine; one core cannot split a dot, so there this passes
+    either way."""
+    rng = np.random.default_rng(0)
+    book = tmp_path / "book.csv"
+    book.write_text("loss\n" + "".join(f"{x!r}\n" for x in rng.lognormal(0.0, 1.0, 50_000).tolist()))
+    runs = [
+        _run_module(["es", "--input", str(book), "--alpha", "0.01"],
+                    OPENBLAS_NUM_THREADS=threads, XDG_CACHE_HOME=str(tmp_path / threads))
+        for threads in ("1", "2")
+    ]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, ""), (0, "")]
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_a_book_near_the_top_float_has_the_es_of_its_atom_list(tmp_path, capsys):
+    """Its values times its counts overflow, so an ES that weighed values by
+    counts before dividing printed inf; now it prints its atom list's ES."""
+    book = tmp_path / "book.csv"
+    book.write_text("loss\n1e308\n1.7e308\n1.7e308\n1.7e308\n")
+    totals = []
+    for source in (["--input", str(book)], ["--dist", "atoms:1e308:0.25,1.7e308:0.75"]):
+        assert main(["es", *source, "--alpha", "0.1"]) == 0
+        totals.append(json.loads(capsys.readouterr().out)["es_total"])
+    assert totals[0] == pytest.approx(totals[1], rel=1e-15) and max(totals) <= 1.7e308
+
+
 class TestEntryPoint:
     """``run`` freezes the import-time objects; ``main`` never touches the GC."""
 

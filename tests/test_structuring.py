@@ -47,6 +47,17 @@ SIXTEENTHS = atoms(np.arange(1.0, 17.0), np.full(16, 1 / 16))
 TIED = empirical([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0])
 
 
+def dirichlet_atoms(m: int, seed: int):
+    """About m lognormal atoms with Dirichlet probabilities: a split has tranches
+    of dozens of non-dyadic weights, whose sums round by how they are grouped."""
+    rng = np.random.default_rng(seed)
+    values = np.unique(rng.lognormal(0.0, 1.0, size=m))
+    return atoms(values, rng.dirichlet(np.ones(values.size)))
+
+
+DIRICHLET_400 = dirichlet_atoms(400, seed=3)
+
+
 @st.composite
 def near_edge_probs(draw):
     """3 to 39 positive probabilities whose sum is 1 up to about PROB_TOL."""
@@ -347,6 +358,7 @@ class TestDecompose:
     @example((TIED, 0.6, build_partition(TIED, 0.6, 7)))
     @example((uniform(2.0, 3.0), 0.95, Partition((0.0, 3.0))))
     @example((FIVE_FIFTHS, 0.95, Partition((0.0, 5.0))))
+    @example((DIRICHLET_400, 0.9, build_partition(DIRICHLET_400, 0.9, 15)))
     def test_columns_match_the_single_tranche_functions(self, case):
         """Each column equals its one-tranche function on every interval, bit for bit."""
         model, alpha, part = case

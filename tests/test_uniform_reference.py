@@ -91,8 +91,8 @@ def test_queries_match_the_closed_forms(lower, width, alpha, t1, t2, closed_hi):
         (mass_in(model, iv), uniform_mass_in(model, iv)),
         (var_of_tranche(model, iv, alpha), var_want),
         (es_of_tranche(model, iv, alpha), es_want),
-        (model.law.mean_tail(alpha), uniform_mean_tail(model, alpha)),
-        (model.law.mean_tail(0.0), uniform_mean_tail(model, 0.0)),
+        (model.law.tail(*model.law.whole, alpha), uniform_mean_tail(model, alpha)),
+        (model.law.tail(*model.law.whole, 0.0), uniform_mean_tail(model, 0.0)),
         (expected_shortfall(model, alpha), uniform_expected_shortfall(model, alpha)),
     ]
     pairs += [(cdf(model, x), uniform_cdf(model, x)) for x in (lo, hi, lower, upper)]
@@ -103,11 +103,13 @@ def test_queries_match_the_closed_forms(lower, width, alpha, t1, t2, closed_hi):
 @given(LOWER, WIDTH, st.floats(0.0, 1.0, exclude_max=True))
 @example(0.0, 1.0, 0.9503546630566793)  # a C library pow that rounds p ** 2 off p * p
 def test_a_tranche_over_the_support_has_the_mean_tail(lower, width, p):
-    """``tail`` over the whole support is ``mean_tail`` bit for bit, at every p in [0, 1)."""
+    """``tail`` over the whole support is the kept whole-book tail bit for bit,
+    at every p in [0, 1)."""
     upper = lower + width
     assume(lower < upper)
-    law = uniform(lower, upper).law
-    assert bits(law.tail(law.lower, law.upper, p)) == bits(law.mean_tail(p))
+    model = uniform(lower, upper)
+    law = model.law
+    assert bits(law.tail(law.lower, law.upper, p)) == bits(uniform_mean_tail(model, p))
 
 
 @settings(max_examples=100)
