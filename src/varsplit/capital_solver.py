@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBounds
-from .loss_model import LossModel, _require_int, discrete_law
+from .loss_model import LossModel, UniformLaw, _require_int
 from .risk_measures import _alpha
 from .structuring import Partition
 
@@ -73,18 +73,6 @@ class OverheadSchedule:
             raise InvalidBounds("table overhead entries must be finite and >= 0")
         if any(b < a for a, b in zip(costs, costs[1:])):
             raise InvalidBounds("table overhead must be nondecreasing")
-
-    @classmethod
-    def none(cls) -> "OverheadSchedule":
-        return cls()
-
-    @classmethod
-    def linear(cls, rate: float) -> "OverheadSchedule":
-        return cls(rate=rate)
-
-    @classmethod
-    def table(cls, costs) -> "OverheadSchedule":
-        return cls(costs=tuple(costs))
 
     @property
     def units(self) -> int | float:
@@ -132,17 +120,20 @@ def solve_with_overhead(
     capital(N) is the cheapest split into at most N tranches, caps[N] of the
     walk over free groups. Past the walk's end capital stays put and a
     nondecreasing schedule costs no less, so no larger N can win. Ties go to
-    smaller N, so the winning N always equals the number of groups its
-    partition uses.
+    smaller N, and capital never rises with N while the schedule never
+    falls, so the winning N is the number of groups its partition uses. A
+    uniform model has no atoms to group, and raises :class:`InvalidBounds`.
     """
     n_max = _require_int(n_max, 1, "need at least one unit, as an integer")
-    sched = overhead if overhead is not None else OverheadSchedule.none()
+    sched = overhead if overhead is not None else OverheadSchedule()
     if sched.units < n_max:
         raise InvalidBounds(
             f"table overhead covers 1..{sched.units} units, need {n_max}"
         )
     alpha = _alpha(level)
-    law = discrete_law(model)
+    law = model.law
+    if isinstance(law, UniformLaw):
+        raise InvalidBounds("a uniform model has no finite atom support")
     if law.upper == 0.0:
         raise InvalidBounds("all loss mass sits at zero; there is nothing to split")
     price, reach = law.groups(alpha)
@@ -160,10 +151,9 @@ def solve_with_overhead(
     caps += [0.0 if s == 0 else float(price[t - 1]) for t, s in zip(starts, starts[1:])]
     objs = [caps[n] + sched.cost(n) for n in range(1, len(caps))]
     best = int(np.argmin(objs))  # the first minimum: ties go to smaller N
-    capital = caps[best + 1]
-    groups = caps.index(capital)
+    groups = best + 1
     ends = starts[groups - 1 :: -1]
     partition = Partition((0.0, *law.cut_at(ends[:-1]).tolist(), law.upper))
     return SolveResult(
-        best_n=groups, partition=partition, capital=capital, objective=objs[best]
+        best_n=groups, partition=partition, capital=caps[groups], objective=objs[best]
     )

@@ -27,6 +27,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -51,6 +52,7 @@ from .loss_model import (
 from .risk_measures import _alpha, expected_shortfall, var
 from .risk_measures import es_of_tranche  # unused here; perfbench/tracing.py wraps it
 from .structuring import (
+    MAX_UNITS,
     build_partition,
     decompose,
     min_subsidiaries,
@@ -124,12 +126,12 @@ def _parse_dist(text: str) -> dict:
 
 def _parse_overhead(text: str) -> OverheadSchedule:
     if text == "none":
-        return OverheadSchedule.none()
+        return OverheadSchedule()
     kind, _, rest = text.partition(":")
     if kind == "linear":
-        return OverheadSchedule.linear(float(rest))
+        return OverheadSchedule(rate=float(rest))
     if kind == "table":
-        return OverheadSchedule.table(float(c) for c in rest.split(","))
+        return OverheadSchedule(costs=tuple(float(c) for c in rest.split(",")))
     raise ValueError(
         f"unknown overhead {kind!r}; use none, linear:c or table:c1,c2,..."
     )
@@ -202,13 +204,15 @@ def parse_cli(argv=None) -> argparse.Namespace:
             ns.overhead = _parse_overhead(ns.overhead)
         except ValueError as exc:
             error(f"--overhead: {exc}")
-    for flag, least in (
-        ("--tranches", 1), ("--subsidiaries", 1), ("--max-desks", 1), ("--trials", 1),
-        ("--seed", 0),
+    for flag, least, most in (
+        ("--tranches", 1, MAX_UNITS), ("--subsidiaries", 1, MAX_UNITS),
+        ("--max-desks", 1, math.inf), ("--trials", 1, math.inf), ("--seed", 0, math.inf),
     ):
         value = getattr(ns, flag[2:].replace("-", "_"), None)  # None: unset, or not this command's
         if value is not None and value < least:
             error(f"{flag}: must be >= {least}, got {value}")
+        if value is not None and value > most:
+            error(f"{flag}: must be <= {most}, got {value}")
     if ns.action == "solve" and ns.overhead.units < ns.max_desks:
         error(
             f"--overhead: table covers 1..{ns.overhead.units} units, "
@@ -353,6 +357,8 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
         n_subs = command.subsidiaries
         if n_subs is None:
             n_subs = min_subsidiaries(alpha)
+        unit_var = randomized_unit_var(model, n_subs, alpha)  # first: it checks n_subs
+        unit_es = randomized_unit_es(model, n_subs, alpha)
         trials = command.trials
         losses = sample(model, _substream(command.seed, 0), trials)
         idx = randomized_assign(n_subs, _substream(command.seed, 1), losses)
@@ -363,8 +369,6 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
             order = np.lexsort((losses, idx))
             del idx  # so the gather below is the third trial-length array, not the fourth
             emp = _unit_vars(losses[order], hits, alpha)
-        unit_var = randomized_unit_var(model, n_subs, alpha)
-        unit_es = randomized_unit_es(model, n_subs, alpha)
         activation = (1.0 - cdf(model, 0.0)) / n_subs
         cuts = ()
         rows = [_row(activation, unit_var, e, unit_es) for e in emp]

@@ -465,13 +465,6 @@ def sample(model: LossModel, seed: int, n: int) -> np.ndarray:
     return model.law.sample(np.random.default_rng(seed), n)
 
 
-def discrete_law(model: LossModel) -> DiscreteLaw:
-    """The model's :class:`DiscreteLaw`; a uniform model has none."""
-    if isinstance(model.law, UniformLaw):
-        raise InvalidBounds("a uniform model has no finite atom support")
-    return model.law
-
-
 def load_losses_csv(path) -> LossModel:
     """Read an empirical model from a single-column UTF-8 CSV.
 

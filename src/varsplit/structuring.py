@@ -28,7 +28,23 @@ from .risk_measures import (
 )
 
 
-_SUBSIDIARIES = "need at least one subsidiary, as an integer"
+#: The most tranches or subsidiaries one call builds or prices. Each unit is
+#: one row of pricing and of the report: a JSON ``simulate`` of 250 000
+#: uniform tranches peaks at about 400 MB and takes about 5 s on a 2-core VM.
+#: A count past the limit raises :class:`InvalidBounds` before anything is
+#: allocated per unit.
+MAX_UNITS = 250_000
+
+
+def _within_limit(n: int, noun: str) -> int:
+    if n > MAX_UNITS:
+        raise InvalidBounds(f"{n} {noun} exceed the limit of {MAX_UNITS} units")
+    return n
+
+
+def _subsidiaries(n) -> int:
+    n = _require_int(n, 1, "need at least one subsidiary, as an integer")
+    return _within_limit(n, "subsidiaries")
 
 
 def _mass_ok(mass: float, alpha: float) -> bool:
@@ -84,6 +100,7 @@ def build_partition(model: LossModel, level: float, n: int | None = None) -> Par
     """Partition the support so every tranche mass is strictly below 1 - alpha.
 
     ``n`` must be an integer; omitted, the minimal feasible count is used.
+    Either way it is at most :data:`MAX_UNITS`.
     Continuous models get equal-mass quantile cuts. Discrete ones are packed
     greedily, each group to its last free end that :meth:`DiscreteLaw.cut_at`
     can cut, and the leftmost widest group is halved until there are ``n`` or
@@ -93,10 +110,11 @@ def build_partition(model: LossModel, level: float, n: int | None = None) -> Par
     law = model.law
     if n is not None:
         n = _require_int(n, 1, "tranche count must be an integer >= 1", NInsufficient)
+        n = _within_limit(n, "tranches")
     if isinstance(law, UniformLaw):
         n_min = min_subsidiaries(alpha)
         if n is None:
-            n = n_min
+            n = _within_limit(n_min, "tranches")
         if n < n_min:
             raise NInsufficient(
                 f"{n} tranches cannot all have mass below 1 - alpha; need >= {n_min}"
@@ -178,27 +196,27 @@ def decompose(model: LossModel, partition: Partition, level: float) -> np.ndarra
     return table
 
 
-def additivity_gap(model: LossModel, partition, level: float) -> float:
+def additivity_gap(model: LossModel, partition: Partition, level: float) -> float:
     """Summed tranche VaR of :func:`decompose` minus the whole-book VaR.
 
-    ``partition`` is a :class:`Partition` or its bare cuts, which must run
-    from 0 to the top of the support. The tranche VaRs are added in tranche
-    order, as a report's ``sum_tranche_vars`` adds them. A negative gap is
-    the arbitrage: the parts are charged less than the whole.
+    The tranche VaRs are added in tranche order, as a report's
+    ``sum_tranche_vars`` adds them. A negative gap is the arbitrage: the
+    parts are charged less than the whole.
     """
     alpha = _alpha(level)
-    _, tranche_vars, _ = decompose(model, Partition(getattr(partition, "cuts", partition)), alpha)
+    _, tranche_vars, _ = decompose(model, partition, alpha)
     return sum(tranche_vars.tolist()) - var(model, alpha)
 
 
 def randomized_assign(subsidiaries: int, seed: int, losses) -> np.ndarray:
     """Draw, from ``seed``, which of N subsidiaries bears each realized loss.
 
-    Returns one unit index in ``0..N-1`` per loss, each drawn uniformly. Unit
-    j loses ``losses[i]`` in trial i when ``idx[i] == j`` and nothing
-    otherwise, so the units' losses sum back to the input bitwise.
+    Returns one unit index in ``0..N-1`` per loss, each drawn uniformly, for
+    N up to :data:`MAX_UNITS`. Unit j loses ``losses[i]`` in trial i when
+    ``idx[i] == j`` and nothing otherwise, so the units' losses sum back to
+    the input bitwise.
     """
-    subsidiaries = _require_int(subsidiaries, 1, _SUBSIDIARIES)
+    subsidiaries = _subsidiaries(subsidiaries)
     rng = np.random.default_rng(_require_int(seed, 0, _SEED))
     return rng.integers(0, subsidiaries, size=np.size(losses))
 
@@ -210,7 +228,7 @@ def randomized_unit_var(model: LossModel, subsidiaries: int, level: float) -> fl
     otherwise, so its quantile is a rescaled whole-book quantile once the
     activation probability eats into the tail budget.
     """
-    subsidiaries = _require_int(subsidiaries, 1, _SUBSIDIARIES)
+    subsidiaries = _subsidiaries(subsidiaries)
     alpha = _alpha(level)
     if _mass_ok(1.0 / subsidiaries, alpha):
         return 0.0
@@ -222,7 +240,7 @@ def randomized_unit_var(model: LossModel, subsidiaries: int, level: float) -> fl
 
 def randomized_unit_es(model: LossModel, subsidiaries: int, level: float) -> float:
     """Expected shortfall of one subsidiary's loss under uniform routing, at most the top loss."""
-    subsidiaries = _require_int(subsidiaries, 1, _SUBSIDIARIES)
+    subsidiaries = _subsidiaries(subsidiaries)
     alpha = _alpha(level)
     budget = subsidiaries * (1.0 - alpha)
     return min(float(model.law.tail(*model.law.whole, max(0.0, 1.0 - budget))) / budget, model.max_loss)

@@ -1,5 +1,14 @@
 """Shared pytest set-up: every hypothesis property runs the same examples each
-time, and every test gets its own empty cache directory.
+time, whichever modules the run loads, and every test gets its own empty
+cache directory.
+
+Hypothesis (6.155, for one) draws some values from a pool of the literal
+constants it finds in every loaded local module (``src`` and ``perfbench``;
+never a test file). The pool grows with the selection, so ``pytest
+tests/test_price.py`` and the full suite drew different examples for the
+same property, and a changed constant in ``src`` changed them all. The
+pool is kept empty here; ``tests/test_hypothesis_examples.py`` checks that
+the examples no longer depend on the selection.
 
 ``--hypothesis-profile=explore`` draws fresh examples on each run instead and
 prints the blob that reproduces a failure; the weekly CI run uses it.
@@ -13,6 +22,13 @@ Subprocesses inherit the variable.
 
 import pytest
 from hypothesis import settings
+
+try:
+    from hypothesis.internal.conjecture import providers
+except ImportError:  # a hypothesis without the pool
+    providers = None
+if hasattr(providers, "_get_local_constants"):
+    providers._get_local_constants = providers.Constants
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.register_profile(

@@ -16,12 +16,14 @@ pair-list split that ``build_partition`` must match cut for cut, ``csv_rows_orac
 the row-by-row CSV reader the ingest suite checks ``load_losses_csv``
 against, ``sorted_sample`` the sample an empirical model's law counts, ``exact_mass``
 and ``exact_tail`` the rational mass and tail integral of a unit of a
-discrete law that ``price``'s floats are measured against in ``ulps``, and
-the ``uniform_*`` functions the closed forms the uniform law must reproduce
-bit for bit.
+discrete law that ``price``'s floats are measured against in ``ulps``, the
+``uniform_*`` functions the closed forms the uniform law must reproduce
+bit for bit, and ``order_statistic_p`` the exact binomial law of a Monte
+Carlo order statistic that the empirical unit VaRs are tested against.
 """
 
 import csv
+import functools
 import itertools
 import math
 from collections import deque
@@ -477,3 +479,41 @@ def uniform_es_of_tranche(model: LossModel, iv, alpha: float) -> float:
     u0 = max(alpha, base)
     integral = lo * (1.0 - u0) + width * (q * q - (u0 - base) * (u0 - base)) / 2.0
     return integral / (1.0 - alpha)
+
+
+@functools.lru_cache(maxsize=4)
+def _log_factorials(n: int) -> np.ndarray:
+    """``log(k!)`` for k = 0..n, each from ``math.lgamma``."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+
+def binomial_range(n: int, g: float, lo: int, hi: int) -> float:
+    """P(lo <= Bin(n, g) <= hi), its terms summed in log space.
+
+    Each term is ``C(n, k) g**k (1 - g)**(n - k)``, with ``C(n, k)`` read
+    from :func:`math.lgamma`; the largest term is factored out before the
+    sum, so a tail far below the smallest float reads 0, not NaN.
+    """
+    lo, hi = max(lo, 0), min(hi, n)
+    if lo > hi:
+        return 0.0
+    if not 0.0 < g < 1.0:  # all the weight sits at k = 0 or k = n
+        return float(lo <= (n if g >= 1.0 else 0) <= hi)
+    k = np.arange(lo, hi + 1)
+    lf = _log_factorials(n)
+    logs = lf[n] - lf[k] - lf[n - k] + k * math.log(g) + (n - k) * math.log1p(-g)
+    top = float(logs.max())
+    return min(1.0, math.exp(top) * float(np.exp(logs - top).sum()))
+
+
+def order_statistic_p(n: int, r: int, at_most: float, below: float) -> float:
+    """Two-sided p-value of reading y as the r-th smallest of n independent draws.
+
+    ``at_most`` is P(draw <= y) and ``below`` is P(draw < y) under the law
+    the draws should follow. Then P(X_(r) <= y) = P(Bin(n, at_most) >= r)
+    and P(X_(r) >= y) = P(Bin(n, below) <= r - 1), exactly, atoms or not;
+    the p-value is twice the smaller, at most 1.
+    """
+    low = binomial_range(n, at_most, r, n)
+    high = binomial_range(n, below, 0, r - 1)
+    return min(1.0, 2.0 * min(low, high))

@@ -158,8 +158,8 @@ def test_criterion_5_solver_matches_oracle():
 def test_criterion_6_overhead_crossover():
     """Cheap desks stop at 21 units; desks dearer than VaR collapse to one."""
     model = near_uniform_500_atoms()
-    cheap = solve_with_overhead(model, 0.95, 30, OverheadSchedule.linear(0.001))
-    dear = solve_with_overhead(model, 0.95, 30, OverheadSchedule.linear(2.0))
+    cheap = solve_with_overhead(model, 0.95, 30, OverheadSchedule(rate=0.001))
+    dear = solve_with_overhead(model, 0.95, 30, OverheadSchedule(rate=2.0))
     ok = (
         cheap.best_n == 21
         and abs(cheap.objective - 0.021) <= 1e-9

@@ -193,36 +193,36 @@ class TestBruteForceOracle:
 
 class TestOverheadSchedule:
     def test_none_is_free(self):
-        sched = OverheadSchedule.none()
+        sched = OverheadSchedule()
         assert sched.cost(1) == 0.0 and sched.cost(100) == 0.0
 
     def test_linear_cost(self):
-        assert OverheadSchedule.linear(0.001).cost(21) == 0.021
+        assert OverheadSchedule(rate=0.001).cost(21) == 0.021
 
     def test_table_lookup(self):
-        sched = OverheadSchedule.table((0.0, 0.5, 0.5, 2.0))
+        sched = OverheadSchedule(costs=(0.0, 0.5, 0.5, 2.0))
         assert sched.cost(1) == 0.0 and sched.cost(4) == 2.0
 
     def test_validation(self):
         with pytest.raises(InvalidBounds, match=">= 0"):
-            OverheadSchedule.linear(-0.5)
+            OverheadSchedule(rate=-0.5)
         with pytest.raises(InvalidBounds, match="nondecreasing"):
-            OverheadSchedule.table((1.0, 0.5))
+            OverheadSchedule(costs=(1.0, 0.5))
         with pytest.raises(InvalidBounds, match="at least one entry"):
-            OverheadSchedule.table(())
+            OverheadSchedule(costs=())
         with pytest.raises(InvalidBounds, match="entries must be finite"):
-            OverheadSchedule.table((0.0, -1.0))
+            OverheadSchedule(costs=(0.0, -1.0))
         with pytest.raises(InvalidBounds, match="a rate or a table, not both"):
             OverheadSchedule(rate=1.0, costs=(0.0, 1.0))
         with pytest.raises(InvalidBounds, match="covers 1..3 units, asked for 0"):
-            OverheadSchedule.table((1.0, 2.0, 3.0)).cost(0)
+            OverheadSchedule(costs=(1.0, 2.0, 3.0)).cost(0)
         with pytest.raises(InvalidBounds, match="asked for -1"):
-            OverheadSchedule.linear(2.0).cost(-1)
+            OverheadSchedule(rate=2.0).cost(-1)
 
     def test_table_must_cover_the_request(self):
-        sched = OverheadSchedule.table((0.0, 0.1))
+        sched = OverheadSchedule(costs=(0.0, 0.1))
         assert sched.units == 2
-        assert OverheadSchedule.none().units == OverheadSchedule.linear(0.5).units == math.inf
+        assert OverheadSchedule().units == OverheadSchedule(rate=0.5).units == math.inf
         with pytest.raises(InvalidBounds, match="covers 1..2 units, asked for 3"):
             sched.cost(3)
 
@@ -237,14 +237,14 @@ class TestSolveWithOverhead:
 
     def test_cheap_desks_buy_the_full_split(self):
         model = near_uniform_500_atoms()
-        res = solve_with_overhead(model, 0.95, 30, OverheadSchedule.linear(0.001))
+        res = solve_with_overhead(model, 0.95, 30, OverheadSchedule(rate=0.001))
         assert res.best_n == 21
         assert res.capital == 0.0
         assert res.objective == 0.021
 
     def test_expensive_desks_collapse_to_one(self):
         model = near_uniform_500_atoms()
-        res = solve_with_overhead(model, 0.95, 30, OverheadSchedule.linear(2.0))
+        res = solve_with_overhead(model, 0.95, 30, OverheadSchedule(rate=2.0))
         assert res.best_n == 1
         assert res.objective == pytest.approx(0.95 + 2.0, abs=1e-12)
 
@@ -253,26 +253,26 @@ class TestSolveWithOverhead:
         model = near_uniform_500_atoms()
         caps = {n: solve_tranche_dp(model, 0.95, n).capital for n in range(1, 31)}
         for rate in (0.0005, 0.002, 0.01):
-            res = solve_with_overhead(model, 0.95, 30, OverheadSchedule.linear(rate))
+            res = solve_with_overhead(model, 0.95, 30, OverheadSchedule(rate=rate))
             best = min(caps[n] + rate * n for n in range(1, 31))
             assert res.objective == pytest.approx(best, abs=1e-15)
 
     def test_tie_break_toward_smaller_n(self):
         """Zero-cost desks with a capital plateau report the smallest count."""
-        res = solve_with_overhead(A3, 0.95, 3, OverheadSchedule.table((0.0, 0.0, 0.0)))
+        res = solve_with_overhead(A3, 0.95, 3, OverheadSchedule(costs=(0.0, 0.0, 0.0)))
         assert res.best_n == 1
         assert res.capital == 10.0
 
     def test_table_shorter_than_n_max_rejected(self):
         with pytest.raises(InvalidBounds, match="covers 1..2 units, need 5"):
-            solve_with_overhead(A3, 0.95, 5, OverheadSchedule.table((0.0, 0.1)))
+            solve_with_overhead(A3, 0.95, 5, OverheadSchedule(costs=(0.0, 0.1)))
 
     def test_objective_never_below_capital(self):
         rng = np.random.default_rng(605)
         for _ in range(10):
             model = random_dyadic_atoms(rng)
             rate = float(rng.uniform(0.0, 1.0))
-            res = solve_with_overhead(model, 0.95, 4, OverheadSchedule.linear(rate))
+            res = solve_with_overhead(model, 0.95, 4, OverheadSchedule(rate=rate))
             assert res.objective >= res.capital >= 0.0
 
 
@@ -294,13 +294,13 @@ def solver_cases(draw):
     n_max = draw(st.integers(1, m + 1))
     variant = draw(st.sampled_from(["none", "linear", "table"]))
     if variant == "none":
-        sched = OverheadSchedule.none()
+        sched = OverheadSchedule()
     elif variant == "linear":
-        sched = OverheadSchedule.linear(draw(st.sampled_from([0.0, 0.3, 1.0, 2.5, 40.0])))
+        sched = OverheadSchedule(rate=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5, 40.0])))
     else:
         costs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0]),
                               min_size=n_max, max_size=n_max + 2))
-        sched = OverheadSchedule.table(sorted(costs))
+        sched = OverheadSchedule(costs=sorted(costs))
     return model, alpha, n_max, sched
 
 
@@ -320,9 +320,9 @@ def outcome(solve, case):
 
 @settings(max_examples=400)
 @given(solver_cases())
-@example((atoms([27, 28, 58], np.array([7, 1, 6]) / 14), 0.5, 2, OverheadSchedule.linear(1.0)))
-@example((atoms([0, 3, 7, 12], np.array([1, 4, 2, 7]) / 14), 0.8, 4, OverheadSchedule.none()))
-@example((atoms([0, 1, 2], [0.97, 0.01, 0.02]), 0.95, 3, OverheadSchedule.none()))
+@example((atoms([27, 28, 58], np.array([7, 1, 6]) / 14), 0.5, 2, OverheadSchedule(rate=1.0)))
+@example((atoms([0, 3, 7, 12], np.array([1, 4, 2, 7]) / 14), 0.8, 4, OverheadSchedule()))
+@example((atoms([0, 1, 2], [0.97, 0.01, 0.02]), 0.95, 3, OverheadSchedule()))
 def test_solver_matches_the_exact_row_reference(case):
     """The walk over free groups, with its one costly group first, reports
     exactly what the exact-r table that kept every row reports. The
@@ -431,7 +431,7 @@ def test_solver_matches_the_reference_on_larger_laws():
             weights[0] += 1
         alpha = float(rng.choice([0.9, 0.95, 0.99, 0.995]))
         n_max = int(rng.integers(1, m + 2))
-        sched = OverheadSchedule.linear(float(rng.choice([0.0, 0.5, 3.0])))
+        sched = OverheadSchedule(rate=float(rng.choice([0.0, 0.5, 3.0])))
         for model in (atoms(values, weights / weights.sum()), empirical(np.repeat(values, weights))):
             case = (model, alpha, n_max, sched)
             assert outcome(solve_with_overhead, case) == outcome(reference_solve, case)

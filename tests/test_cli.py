@@ -50,7 +50,7 @@ class TestParseCli:
             assert cmd.out is None
         assert parse_cli(
             ["solve", *UNIFORM, "--max-desks", "2"]
-        ).overhead == OverheadSchedule.none()
+        ).overhead == OverheadSchedule()
 
     def test_atoms_descriptor(self):
         cmd = parse_cli(["solve", *THREE_ATOMS, "--max-desks", "2"])
@@ -71,13 +71,13 @@ class TestParseCli:
         solve = ["solve", *UNIFORM, "--max-desks", "2"]
         assert parse_cli(
             [*solve, "--overhead", "none"]
-        ).overhead == OverheadSchedule.none()
+        ).overhead == OverheadSchedule()
         assert parse_cli(
             [*solve, "--overhead", "linear:0.001"]
-        ).overhead == OverheadSchedule.linear(0.001)
+        ).overhead == OverheadSchedule(rate=0.001)
         assert parse_cli(
             [*solve, "--overhead", "table:0,0.1,0.5"]
-        ).overhead == OverheadSchedule.table((0.0, 0.1, 0.5))
+        ).overhead == OverheadSchedule(costs=(0.0, 0.1, 0.5))
 
     def test_each_command_takes_only_the_flags_it_reads(self, capsys):
         """Each command's --help lists its own flags, 43 slots in all, and a
@@ -153,13 +153,17 @@ class TestParseCli:
         )
         assert parse_cli(
             ["solve", *THREE_ATOMS, "--max-desks", "2", "--overhead", "table:1,2"]
-        ).overhead == OverheadSchedule.table((1.0, 2.0))
+        ).overhead == OverheadSchedule(costs=(1.0, 2.0))
 
     def test_usage_error_names_the_flag(self, capsys):
         """A check after parsing reports under its command's usage, as argparse does."""
         for argv, message in (
             (["var", *UNIFORM, "--alpha", "1.5"], "--alpha: "),
             (["decompose", *UNIFORM, "--tranches", "0"], "--tranches: must be >= 1, got 0"),
+            (["simulate", *UNIFORM, "--tranches", "250001"],
+             "--tranches: must be <= 250000, got 250001"),
+            (["randomize", *UNIFORM, "--subsidiaries", "10000000000"],
+             "--subsidiaries: must be <= 250000, got 10000000000"),
             (["solve", "--dist", "atoms:1:1", "--max-desks", "2", "--overhead", "cubic:1"],
              "--overhead: unknown overhead 'cubic'"),
         ):
@@ -168,6 +172,8 @@ class TestParseCli:
             err = capsys.readouterr().err
             assert err.startswith(f"usage: varsplit {argv[0]} [-h]")
             assert f"\nvarsplit {argv[0]}: error: {message}" in err
+        assert parse_cli(["simulate", *UNIFORM, "--tranches", "250000"]).tranches == 250000
+        assert parse_cli(["randomize", *UNIFORM, "--subsidiaries", "250000"]).subsidiaries == 250000
 
 
 class TestReports:
@@ -581,6 +587,45 @@ def test_a_book_near_the_top_float_has_the_es_of_its_atom_list(tmp_path, capsys)
         assert main(["es", *source, "--alpha", "0.1"]) == 0
         totals.append(json.loads(capsys.readouterr().out)["es_total"])
     assert totals[0] == pytest.approx(totals[1], rel=1e-15) and max(totals) <= 1.7e308
+
+
+def _cap_address_space():
+    """Runs in the child before exec: 1 GiB of address space holds the CLI's
+    ~140 MB after imports, and a request that allocates per unit past the
+    limit meets MemoryError there instead of the machine's memory."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, code, last",
+    [
+        (["randomize", "--dist", "atoms:1:1", "--alpha", "0.99999999999"], 1,
+         "error: 111111513113 subsidiaries exceed the limit of 250000 units"),
+        (["decompose", *UNIFORM, "--alpha", "0.999999999"], 1,
+         "error: 1001001063 tranches exceed the limit of 250000 units"),
+        (["simulate", *UNIFORM, "--alpha", "0.999999999"], 1,
+         "error: 1001001063 tranches exceed the limit of 250000 units"),
+        (["decompose", *UNIFORM, "--tranches", "250001"], 2,
+         "varsplit decompose: error: --tranches: must be <= 250000, got 250001"),
+        (["randomize", "--dist", "atoms:1:1", "--subsidiaries", "111111513113"], 2,
+         "varsplit randomize: error: --subsidiaries: must be <= 250000, got 111111513113"),
+    ],
+    ids=["derived-subsidiaries", "derived-tranches", "derived-simulate", "tranches", "subsidiaries"],
+)
+def test_an_oversized_unit_count_fails_before_allocating(argv, code, last):
+    """A unit count past MAX_UNITS, given or derived from alpha, is refused
+    by name. The child's address space is capped, so a check that came too
+    late would print a MemoryError traceback rather than exhaust memory."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "varsplit.cli", *argv],
+        capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS="1"),
+        timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.splitlines()[-1] == last
+    assert proc.stderr.count("error:") == 1
 
 
 class TestEntryPoint:

@@ -24,10 +24,11 @@ from varsplit import (
     mass_in,
     order_stat_rank,
     sample,
+    solve_with_overhead,
     uniform,
     var,
 )
-from varsplit.loss_model import UniformLaw, _empirical_owned, discrete_law
+from varsplit.loss_model import UniformLaw, _empirical_owned
 
 
 class TestConstruction:
@@ -402,8 +403,9 @@ class TestDistinctAtoms:
         assert list(law.weights / law.total) == [0.25, 0.5, 0.25]
 
     def test_uniform_has_no_atoms(self):
-        with pytest.raises(InvalidBounds, match="no finite atom support"):
-            discrete_law(uniform(0.0, 1.0))
+        """The solver groups atoms, so it refuses a uniform law by name."""
+        with pytest.raises(InvalidBounds, match="^a uniform model has no finite atom support$"):
+            solve_with_overhead(uniform(0.0, 1.0), 0.95, 2)
 
 
 class TestCsvIngestion:

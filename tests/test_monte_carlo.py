@@ -11,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from helpers import order_statistic_p
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from varsplit import (
     empirical,
     intervals_from_cuts,
     load_losses_csv,
+    order_stat_rank,
     randomized_assign,
     sample,
     var,
@@ -217,3 +219,90 @@ def test_randomize_keeps_three_trial_length_arrays():
         report, peak = traced_peak([*dist, "--subsidiaries", str(units)], trials)
         assert len(report.tranches) == units
         assert peak < 3.1
+
+
+#: Book rows for the oracle sweep: 24 distinct values, five of them twice.
+ORACLE_BOOK = [k / 4 for k in range(1, 25)] + [1.0, 2.5, 3.0, 4.75, 6.0]
+
+#: Fixed Monte Carlo lines and the law each one samples: ``("uniform", a, b)``
+#: or a list of (value, probability) pairs. A randomize line with few
+#: subsidiaries has a positive unit VaR, inside a law with many values or on
+#: its top atom; every simulate unit VaR is 0 by construction, so those lines
+#: put a tranche's mass a few percent below 1 - alpha, where a sampler that
+#: is off by 10% would push the empirical VaR above 0.
+ORACLE_LINES = [
+    (["randomize", "--dist", "atoms:1:0.5,2:0.3,3:0.2", "--alpha", "0.95", "--subsidiaries", "2"],
+     [(1.0, 0.5), (2.0, 0.3), (3.0, 0.2)]),
+    (["randomize", "--dist", "atoms:" + ",".join(f"{v}:0.025" for v in range(1, 41)),
+      "--alpha", "0.91", "--subsidiaries", "3"],
+     [(float(v), 0.025) for v in range(1, 41)]),
+    (["randomize", "--dist", "uniform:2,7", "--alpha", "0.8", "--subsidiaries", "2"], ("uniform", 2.0, 7.0)),
+    (["randomize", "--input", "BOOK", "--alpha", "0.9", "--subsidiaries", "2"], ORACLE_BOOK),
+    (["randomize", "--input", "BOOK", "--alpha", "0.99", "--subsidiaries", "1"], ORACLE_BOOK),
+    (["simulate", "--dist", "uniform:0,1", "--alpha", "0.47", "--tranches", "2"], ("uniform", 0.0, 1.0)),
+    (["simulate", "--dist", "atoms:" + ",".join(f"{v}:0.1" for v in range(1, 11)), "--alpha", "0.58"],
+     [(float(v), 0.1) for v in range(1, 11)]),
+    (["simulate", "--input", "BOOK", "--alpha", "0.6"], ORACLE_BOOK),
+]
+
+#: The sweep fails when a cell's p-value falls below this rate over the cell
+#: count (Bonferroni), so a correct sampler fails it with probability below 1e-7.
+FAMILY_RATE = 1e-7
+
+
+def law_below(law, x: float, strict: bool, lo: float = 0.0, hi: float = math.inf,
+              closed: bool = True) -> float:
+    """P(lo <= X < hi, or X == hi when ``closed``, and X < x (``strict``) or X <= x)."""
+    if law[0] == "uniform":
+        _, a, b = law
+        return max(0.0, min(x, hi, b) - max(lo, a)) / (b - a)
+    pairs = [(v, p) for v, p in law if lo <= v < hi or (closed and v == hi)]
+    return math.fsum(p for v, p in pairs if v < x or (not strict and v == x))
+
+
+def unit_law(law, action: str, n_units: int, cuts, k: int):
+    """``below(y, strict)``: P(U < y) when ``strict``, else P(U <= y), for unit k's loss U."""
+    if action == "randomize":
+        def below(y, strict):  # U is X with probability 1/N, else 0
+            if strict and y <= 0.0:
+                return 0.0
+            return 1.0 - 1.0 / n_units + law_below(law, y, strict) / n_units
+    else:
+        lo, hi, closed = cuts[k], cuts[k + 1], k == n_units - 1
+        mass = law_below(law, math.inf, False, lo, hi, closed)
+
+        def below(y, strict):  # U is X when X falls in the tranche, else 0
+            if strict and y <= 0.0:
+                return 0.0
+            return 1.0 - mass + law_below(law, y, strict, lo, hi, closed)
+    return below
+
+
+def oracle_cells(tmp_path, trials=100000):
+    """One (line, unit, y, p-value) per unit row of every line."""
+    book = tmp_path / "oracle_book.csv"
+    book.write_text("loss\n" + "".join(f"{v!r}\n" for v in ORACLE_BOOK))
+    book_law = [(v, ORACLE_BOOK.count(v) / len(ORACLE_BOOK)) for v in sorted(set(ORACLE_BOOK))]
+    cells = []
+    for i, (argv, law) in enumerate(ORACLE_LINES):
+        argv = [str(book) if a == "BOOK" else a for a in argv]
+        law = book_law if law is ORACLE_BOOK else law
+        report = run_simulation(parse_cli([*argv, "--trials", str(trials), "--seed", str(i)]))
+        r = order_stat_rank(trials, report.alpha)
+        for k, row in enumerate(report.tranches):
+            below = unit_law(law, argv[0], report.n_units, report.cuts, k)
+            y = row["var_empirical"]
+            cells.append((i, k, y, order_statistic_p(trials, r, below(y, False), below(y, True))))
+    return cells
+
+
+def test_empirical_unit_vars_follow_their_exact_order_statistic_law(tmp_path):
+    """Each unit's empirical VaR is the rank-r order statistic of ``trials``
+    independent draws of the unit's own loss U, so P(X_(r) <= y) is the
+    binomial tail P(Bin(trials, P(U <= y)) >= r). No cell of the sweep may be
+    less likely than the Bonferroni threshold, and some must read above 0."""
+    cells = oracle_cells(tmp_path)
+    threshold = FAMILY_RATE / len(cells)
+    worst = min(cells, key=lambda cell: cell[3])
+    assert worst[3] >= threshold, f"line {worst[0]}, unit {worst[1]}: {worst[2]} has p = {worst[3]:.3g}"
+    assert sum(y > 0.0 for _, _, y, _ in cells) >= 10

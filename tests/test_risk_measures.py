@@ -44,7 +44,7 @@ LEVEL_ENTRY_POINTS = {
     "es_of_tranche": lambda lvl: es_of_tranche(A3, Interval(0.0, 10.0, True), lvl),
     "build_partition": lambda lvl: build_partition(A3, lvl),
     "decompose": lambda lvl: decompose(A3, Partition((0.0, 10.0)), lvl),
-    "additivity_gap": lambda lvl: additivity_gap(A3, (0.0, 10.0), lvl),
+    "additivity_gap": lambda lvl: additivity_gap(A3, Partition((0.0, 10.0)), lvl),
     "min_subsidiaries": lambda lvl: min_subsidiaries(lvl),
     "randomized_unit_var": lambda lvl: randomized_unit_var(A3, 21, lvl),
     "randomized_unit_es": lambda lvl: randomized_unit_es(A3, 21, lvl),
@@ -316,8 +316,8 @@ class TestAdditivityGap:
         """Isolating the zero atom leaves all capital on the {5, 10} side."""
         assert additivity_gap(A3, Partition((0.0, 2.5, 10.0)), 0.95) == 0.0
 
-    def test_accepts_raw_cut_sequences(self):
-        assert additivity_gap(U01, (0.0, 0.5, 1.0), 0.95) == pytest.approx(
+    def test_two_equal_uniform_tranches(self):
+        assert additivity_gap(U01, Partition((0.0, 0.5, 1.0)), 0.95) == pytest.approx(
             -0.95 + 0.45 + 0.95, abs=1e-12
         )
 
@@ -326,9 +326,9 @@ class TestAdditivityGap:
         false arbitrage; cuts past the top, or starting above 0, are refused too."""
         for cuts in ((0.0, 7.0), (0.0, 5.0, 20.0)):
             with pytest.raises(PartitionMismatch, match="ends at"):
-                additivity_gap(A3, cuts, 0.95)
+                additivity_gap(A3, Partition(cuts), 0.95)
         with pytest.raises(InvalidBounds, match="must start at 0"):
-            additivity_gap(A3, (1.0, 10.0), 0.95)
+            additivity_gap(A3, Partition((1.0, 10.0)), 0.95)
 
     def test_total_capital_is_the_reports_sum(self):
         """The gap adds the tranche VaRs in order, as the report's
@@ -339,7 +339,7 @@ class TestAdditivityGap:
         _, tranche_vars, _ = decompose(model, Partition(cuts), 0.95)
         total = sum(tranche_vars.tolist())
         assert total == 7.857142857142857 != float(np.sum(tranche_vars))
-        gap = additivity_gap(model, cuts, 0.95)
+        gap = additivity_gap(model, Partition(cuts), 0.95)
         assert gap == total - var(model, 0.95) == 6.428571428571428
 
     def test_subadditive_direction_for_es(self):

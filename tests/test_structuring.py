@@ -38,6 +38,7 @@ from varsplit import (
 )
 from varsplit.cli import parse_cli, run_simulation
 from varsplit.loss_model import PROB_TOL
+from varsplit.structuring import MAX_UNITS, _mass_ok
 
 U01 = uniform(0.0, 1.0)
 SINGLE_ATOM_100 = atoms([100.0], [1.0])
@@ -121,12 +122,19 @@ class TestMinSubsidiaries:
 
     def test_result_is_tight(self):
         """N units are free, N - 1 units cannot be, up to alpha = 1 - 1e-11: a
-        single atom at 100 charges every unit 0 at N and 100 at N - 1."""
+        single atom at 100 charges every unit 0 at N and 100 at N - 1. Past
+        MAX_UNITS the unit VaR refuses the count, and the mass bound that
+        zeroes it (each unit's mass 1/N) is checked instead."""
         for alpha in (0.9, 0.95, 0.99, 0.8, 0.5, *(1.0 - 10.0**-k for k in range(1, 12))):
             n = min_subsidiaries(alpha)
-            assert randomized_unit_var(SINGLE_ATOM_100, n, alpha) == 0.0
-            if n > 1:
-                assert randomized_unit_var(SINGLE_ATOM_100, n - 1, alpha) == 100.0
+            if n <= MAX_UNITS:
+                assert randomized_unit_var(SINGLE_ATOM_100, n, alpha) == 0.0
+                if n > 1:
+                    assert randomized_unit_var(SINGLE_ATOM_100, n - 1, alpha) == 100.0
+                continue
+            assert _mass_ok(1.0 / n, alpha) and not _mass_ok(1.0 / (n - 1), alpha)
+            with pytest.raises(InvalidBounds, match=f"^{n} subsidiaries exceed the limit"):
+                randomized_unit_var(SINGLE_ATOM_100, n, alpha)
 
     @pytest.mark.parametrize("alpha", [1.0 - 1e-12, 0.9999999999995, 0.9999999999999999])
     def test_no_count_once_the_guarded_level_reaches_one(self, alpha):
@@ -584,6 +592,32 @@ def test_unit_counts_must_be_integers(count_into, error):
             count_into(bad)
     count_into(3)
     count_into(np.int64(3))
+
+
+@pytest.mark.parametrize(
+    "count_into",
+    [
+        lambda n: build_partition(FIVE_FIFTHS, 0.5, n),
+        lambda n: build_partition(U01, 0.5, n),
+        lambda n: randomized_assign(n, 0, [1.0, 2.0]),
+        lambda n: randomized_unit_var(FIVE_FIFTHS, n, 0.5),
+        lambda n: randomized_unit_es(FIVE_FIFTHS, n, 0.5),
+    ],
+    ids=["partition", "uniform_partition", "scheme", "unit_var", "unit_es"],
+)
+def test_unit_counts_stop_at_the_limit(count_into):
+    """MAX_UNITS units are built or priced; one more is refused by name."""
+    count_into(MAX_UNITS)
+    with pytest.raises(InvalidBounds, match=f" exceed the limit of {MAX_UNITS} units$"):
+        count_into(MAX_UNITS + 1)
+
+
+def test_a_derived_unit_count_stops_at_the_limit():
+    """The uniform tranche count that alpha asks for is checked as a given
+    one is: 200 001 tranches at 1 - 5e-6, none at 1 - 1e-9."""
+    assert build_partition(U01, 0.999995).n_tranches == 200_001
+    with pytest.raises(InvalidBounds, match="^1001001063 tranches exceed the limit"):
+        build_partition(U01, 0.999999999)
 
 
 @pytest.mark.parametrize(
