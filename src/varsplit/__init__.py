@@ -34,7 +34,6 @@ from .loss_model import (
     LossModel,
     atoms,
     build_model,
-    cdf,
     empirical,
     intervals_from_cuts,
     load_losses_csv,
@@ -56,8 +55,7 @@ from .structuring import (
     decompose,
     min_subsidiaries,
     randomized_assign,
-    randomized_unit_es,
-    randomized_unit_var,
+    randomized_unit_price,
 )
 
 __version__ = "0.1.0"

@@ -39,11 +39,11 @@ import numpy as np
 from .capital_solver import OverheadSchedule, solve_with_overhead
 from .errors import VarsplitError
 from .loss_model import (
+    MAX_TRIALS,
     DiscreteLaw,
     LossModel,
     _empirical_runs,
     build_model,
-    cdf,
     empirical,  # unused here; perfbench/tracing.py wraps varsplit.cli.empirical
     load_losses_csv,
     order_stat_rank,
@@ -57,8 +57,7 @@ from .structuring import (
     decompose,
     min_subsidiaries,
     randomized_assign,
-    randomized_unit_es,
-    randomized_unit_var,
+    randomized_unit_price,
 )
 
 #: Embedded in every report so no output overstates what was optimized.
@@ -206,7 +205,7 @@ def parse_cli(argv=None) -> argparse.Namespace:
             error(f"--overhead: {exc}")
     for flag, least, most in (
         ("--tranches", 1, MAX_UNITS), ("--subsidiaries", 1, MAX_UNITS),
-        ("--max-desks", 1, math.inf), ("--trials", 1, math.inf), ("--seed", 0, math.inf),
+        ("--max-desks", 1, math.inf), ("--trials", 1, MAX_TRIALS), ("--seed", 0, math.inf),
     ):
         value = getattr(ns, flag[2:].replace("-", "_"), None)  # None: unset, or not this command's
         if value is not None and value < least:
@@ -357,8 +356,8 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
         n_subs = command.subsidiaries
         if n_subs is None:
             n_subs = min_subsidiaries(alpha)
-        unit_var = randomized_unit_var(model, n_subs, alpha)  # first: it checks n_subs
-        unit_es = randomized_unit_es(model, n_subs, alpha)
+        # Priced first, so n_subs is checked before any trial-length array.
+        mass, unit_var, unit_es = randomized_unit_price(model, n_subs, alpha)
         trials = command.trials
         losses = sample(model, _substream(command.seed, 0), trials)
         idx = randomized_assign(n_subs, _substream(command.seed, 1), losses)
@@ -369,9 +368,8 @@ def run_simulation(command: argparse.Namespace) -> CapitalReport:
             order = np.lexsort((losses, idx))
             del idx  # so the gather below is the third trial-length array, not the fourth
             emp = _unit_vars(losses[order], hits, alpha)
-        activation = (1.0 - cdf(model, 0.0)) / n_subs
         cuts = ()
-        rows = [_row(activation, unit_var, e, unit_es) for e in emp]
+        rows = [_row(mass, unit_var, e, unit_es) for e in emp]
     else:
         if command.action == "solve":
             partition = solve_with_overhead(

@@ -221,26 +221,26 @@ def randomized_assign(subsidiaries: int, seed: int, losses) -> np.ndarray:
     return rng.integers(0, subsidiaries, size=np.size(losses))
 
 
-def randomized_unit_var(model: LossModel, subsidiaries: int, level: float) -> float:
-    """Strict quantile of one subsidiary's loss under uniform random routing.
+def randomized_unit_price(
+    model: LossModel, subsidiaries: int, level: float
+) -> tuple[float, float, float]:
+    """Mass, strict quantile and ES of one subsidiary's loss under uniform random routing.
 
     The unit loss is X when the unit is drawn (probability 1/N) and zero
-    otherwise, so its quantile is a rescaled whole-book quantile once the
-    activation probability eats into the tail budget.
+    otherwise. So its mass, the chance of a positive loss, is P(X > 0) / N;
+    its quantile is a rescaled whole-book quantile once the activation
+    probability eats into the tail budget; and its ES is at most the top loss.
     """
     subsidiaries = _subsidiaries(subsidiaries)
     alpha = _alpha(level)
-    if _mass_ok(1.0 / subsidiaries, alpha):
-        return 0.0
-    p = 1.0 - subsidiaries * (1.0 - alpha)
-    if p <= 0.0:
-        return model.law.lower
-    return float(model.law.unit_var(*model.law.whole, p))
-
-
-def randomized_unit_es(model: LossModel, subsidiaries: int, level: float) -> float:
-    """Expected shortfall of one subsidiary's loss under uniform routing, at most the top loss."""
-    subsidiaries = _subsidiaries(subsidiaries)
-    alpha = _alpha(level)
+    law = model.law
     budget = subsidiaries * (1.0 - alpha)
-    return min(float(model.law.tail(*model.law.whole, max(0.0, 1.0 - budget))) / budget, model.max_loss)
+    p = 1.0 - budget
+    if _mass_ok(1.0 / subsidiaries, alpha):
+        unit_var = 0.0
+    elif p <= 0.0:
+        unit_var = law.lower
+    else:
+        unit_var = float(law.unit_var(*law.whole, p))
+    unit_es = min(float(law.tail(*law.whole, max(0.0, p))) / budget, law.upper)
+    return (1.0 - law.cdf(0.0)) / subsidiaries, unit_var, unit_es

@@ -18,8 +18,10 @@ against, ``sorted_sample`` the sample an empirical model's law counts, ``exact_m
 and ``exact_tail`` the rational mass and tail integral of a unit of a
 discrete law that ``price``'s floats are measured against in ``ulps``, the
 ``uniform_*`` functions the closed forms the uniform law must reproduce
-bit for bit, and ``order_statistic_p`` the exact binomial law of a Monte
-Carlo order statistic that the empirical unit VaRs are tested against.
+bit for bit, ``exact_quantile`` the strict quantile of a decimal or
+rational law that ``var`` and ``price``'s VaR are held to, and
+``order_statistic_p`` the exact binomial law of a Monte Carlo order
+statistic that the empirical unit VaRs are tested against.
 """
 
 import csv
@@ -413,6 +415,22 @@ def exact_tail(law: DiscreteLaw, a: int, b: int, p) -> Fraction:
         if w > 0:
             acc += _fixed(v) * w
     return Fraction(acc, den * _ONE) / total
+
+
+def exact_quantile(values, probs, level) -> float:
+    """The strict quantile ``inf {x : P(X <= x) > level}`` of the law with
+    ``probs[k]`` on ``values[k]``, in exact arithmetic.
+
+    Each probability and the level is read by ``Fraction``: a decimal text
+    such as ``"0.35"`` as the decimal it denotes, not the float nearest it;
+    an integer, a float or a Fraction as the number it holds.
+    """
+    p, cum = Fraction(level), Fraction(0)
+    for v, w in zip(values, probs):
+        cum += Fraction(w)
+        if cum > p:
+            return float(v)
+    raise ValueError(f"level {level} is not below the total mass {cum}")
 
 
 def ulps(got: float, exact: Fraction) -> float:

@@ -30,7 +30,7 @@ from varsplit import (
     intervals_from_cuts,
     min_subsidiaries,
     randomized_assign,
-    randomized_unit_var,
+    randomized_unit_price,
     sample,
     solve_tranche_dp,
     solve_with_overhead,
@@ -95,9 +95,9 @@ def test_criterion_3_randomized_subsidiaries():
     unit_vars = [var(empirical(col), 0.95) for col in columns]
     coverage_exact = bool(np.array_equal(np.sum(columns, axis=0), losses))
     n_min = min_subsidiaries(0.95)
-    analytic = (randomized_unit_var(book, 21, 0.95), randomized_unit_var(book, 20, 0.95))
+    analytic = (randomized_unit_price(book, 21, 0.95)[1], randomized_unit_price(book, 20, 0.95)[1])
     # The count reads the model: half the mass at 0 is free from 11 units.
-    half_at_0 = randomized_unit_var(atoms([0.0, 100.0], [0.5, 0.5]), 11, 0.95)
+    half_at_0 = randomized_unit_price(atoms([0.0, 100.0], [0.5, 0.5]), 11, 0.95)[1]
     elapsed = time.perf_counter() - start
     ok = (
         all(v == 0.0 for v in unit_vars)

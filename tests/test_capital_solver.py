@@ -27,7 +27,7 @@ from varsplit import (
     decompose,
     empirical,
     intervals_from_cuts,
-    randomized_unit_var,
+    randomized_unit_price,
     solve_tranche_dp,
     solve_with_overhead,
     uniform,
@@ -157,7 +157,7 @@ class TestSolveTrancheDp:
         res = solve_tranche_dp(model, alpha, n)
         _, tranche_vars, _ = decompose(model, res.partition, alpha)
         assert sum(tranche_vars.tolist()) == res.capital
-        assert res.capital >= randomized_unit_var(model, res.best_n, alpha)
+        assert res.capital >= randomized_unit_price(model, res.best_n, alpha)[1]
 
 
 class TestBruteForceOracle:
@@ -362,7 +362,7 @@ def test_capital_never_beats_the_unrestricted_floor(case):
     Wang, 2018), which is the charge on one of N randomized subsidiaries."""
     model, alpha, n = case
     for units in range(1, n + 1):
-        floor = randomized_unit_var(model, units, alpha)
+        floor = randomized_unit_price(model, units, alpha)[1]
         assert solve_tranche_dp(model, alpha, units).capital >= floor
 
 

@@ -164,6 +164,8 @@ class TestParseCli:
              "--tranches: must be <= 250000, got 250001"),
             (["randomize", *UNIFORM, "--subsidiaries", "10000000000"],
              "--subsidiaries: must be <= 250000, got 10000000000"),
+            (["simulate", *UNIFORM, "--trials", "10000001"],
+             "--trials: must be <= 10000000, got 10000001"),
             (["solve", "--dist", "atoms:1:1", "--max-desks", "2", "--overhead", "cubic:1"],
              "--overhead: unknown overhead 'cubic'"),
         ):
@@ -174,6 +176,7 @@ class TestParseCli:
             assert f"\nvarsplit {argv[0]}: error: {message}" in err
         assert parse_cli(["simulate", *UNIFORM, "--tranches", "250000"]).tranches == 250000
         assert parse_cli(["randomize", *UNIFORM, "--subsidiaries", "250000"]).subsidiaries == 250000
+        assert parse_cli(["simulate", *UNIFORM, "--trials", "10000000"]).trials == 10**7
 
 
 class TestReports:
@@ -611,13 +614,21 @@ def _cap_address_space():
          "varsplit decompose: error: --tranches: must be <= 250000, got 250001"),
         (["randomize", "--dist", "atoms:1:1", "--subsidiaries", "111111513113"], 2,
          "varsplit randomize: error: --subsidiaries: must be <= 250000, got 111111513113"),
+        (["randomize", "--dist", "atoms:1:1", "--trials", "10000000000"], 2,
+         "varsplit randomize: error: --trials: must be <= 10000000, got 10000000000"),
+        (["simulate", *UNIFORM, "--trials", "200000000"], 2,
+         "varsplit simulate: error: --trials: must be <= 10000000, got 200000000"),
     ],
-    ids=["derived-subsidiaries", "derived-tranches", "derived-simulate", "tranches", "subsidiaries"],
+    ids=[
+        "derived-subsidiaries", "derived-tranches", "derived-simulate", "tranches", "subsidiaries",
+        "trials", "simulate-trials",
+    ],
 )
 def test_an_oversized_unit_count_fails_before_allocating(argv, code, last):
-    """A unit count past MAX_UNITS, given or derived from alpha, is refused
-    by name. The child's address space is capped, so a check that came too
-    late would print a MemoryError traceback rather than exhaust memory."""
+    """A unit count past MAX_UNITS, given or derived from alpha, or a trial
+    count past MAX_TRIALS, is refused by name. The child's address space is
+    capped, so a check that came too late would print a MemoryError
+    traceback rather than exhaust memory."""
     proc = subprocess.run(
         [sys.executable, "-m", "varsplit.cli", *argv],
         capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS="1"),

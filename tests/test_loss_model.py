@@ -17,7 +17,6 @@ from varsplit import (
     VarsplitError,
     atoms,
     build_model,
-    cdf,
     empirical,
     intervals_from_cuts,
     load_losses_csv,
@@ -28,7 +27,7 @@ from varsplit import (
     uniform,
     var,
 )
-from varsplit.loss_model import UniformLaw, _empirical_owned
+from varsplit.loss_model import MAX_TRIALS, UniformLaw, _empirical_owned
 
 
 class TestConstruction:
@@ -196,14 +195,16 @@ class TestEmpiricalLaw:
 
 
 class TestCdf:
+    """Each law's right-continuous distribution function ``P(X <= x)``."""
+
     def test_atom_mass_at_zero(self):
-        assert cdf(atoms([0.0, 10.0], [0.5, 0.5]), 0.0) == 0.5
+        assert atoms([0.0, 10.0], [0.5, 0.5]).law.cdf(0.0) == 0.5
 
     def test_uniform_cdf(self):
-        assert cdf(uniform(0.0, 1.0), 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert uniform(0.0, 1.0).law.cdf(0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_empirical_counting(self):
-        assert cdf(empirical([1.0, 2.0, 2.0, 4.0]), 2.0) == 0.75
+        assert empirical([1.0, 2.0, 2.0, 4.0]).law.cdf(2.0) == 0.75
 
     def test_total_mass_at_max_loss(self):
         for model in (
@@ -211,17 +212,8 @@ class TestCdf:
             atoms([0.0, 5.0, 10.0], [0.5, 0.3, 0.2]),
             empirical([1.0, 2.0, 2.0, 4.0]),
         ):
-            assert cdf(model, model.max_loss) == 1.0
-            assert cdf(model, -1e-9) == 0.0
-
-    @pytest.mark.parametrize(
-        "model",
-        [uniform(0.0, 1.0), atoms([0.0, 10.0], [0.5, 0.5]), empirical([1.0, 2.0])],
-        ids=["uniform", "atoms", "empirical"],
-    )
-    def test_nan_is_rejected_by_every_variant(self, model):
-        with pytest.raises(InvalidBounds, match="nan"):
-            cdf(model, float("nan"))
+            assert model.law.cdf(model.max_loss) == 1.0
+            assert model.law.cdf(-1e-9) == 0.0
 
     def test_nondecreasing_on_probe_grid(self):
         """cdf must be monotone over a dense grid across the support for all
@@ -233,15 +225,15 @@ class TestCdf:
             empirical([0.0, 0.2, 0.2, 0.7, 1.0]),
             atoms([1.0, 2.0, 3.0], [0.6, 0.4000000000005, 1e-15]),
         ):
-            vals = np.array([cdf(model, float(x)) for x in grid * model.max_loss])
+            vals = np.array([model.law.cdf(float(x)) for x in grid * model.max_loss])
             assert np.all(np.diff(vals) >= 0.0)
 
     def test_right_continuous_at_atoms(self):
         """The jump at an atom is included at the atom itself."""
         model = atoms([0.0, 5.0, 10.0], [0.5, 0.3, 0.2])
-        assert cdf(model, 5.0) == 0.8
-        assert cdf(model, 5.0 - 1e-12) == 0.5
-        assert cdf(model, 5.0 + 1e-12) == 0.8
+        assert model.law.cdf(5.0) == 0.8
+        assert model.law.cdf(5.0 - 1e-12) == 0.5
+        assert model.law.cdf(5.0 + 1e-12) == 0.8
 
 
 class TestQuantileStrict:
@@ -286,13 +278,13 @@ class TestQuantileStrict:
         for model in discrete:
             for p in levels:
                 q = var(model, float(p))
-                assert cdf(model, q) > p
-                assert cdf(model, q - 1e-9) <= p
+                assert model.law.cdf(q) > p
+                assert model.law.cdf(q - 1e-9) <= p
         continuous = uniform(0.0, 1.0)
         for p in levels:
             q = var(continuous, float(p))
-            assert cdf(continuous, q + 1e-9) > p
-            assert cdf(continuous, q - 1e-9) <= p
+            assert continuous.law.cdf(q + 1e-9) > p
+            assert continuous.law.cdf(q - 1e-9) <= p
 
 
 class TestMassIn:
@@ -326,16 +318,19 @@ class TestMassIn:
 
 
 class TestIntervals:
+    """An interval holds a loss x when ``mass_in`` gives a point mass at x weight 1."""
+
     def test_last_interval_is_closed(self):
         ivs = intervals_from_cuts([0.0, 0.5, 1.0])
         assert [iv.closed_hi for iv in ivs] == [False, True]
-        assert ivs[0].contains(0.0) and not ivs[0].contains(0.5)
-        assert ivs[1].contains(0.5) and ivs[1].contains(1.0)
+        held = [[mass_in(atoms([x], [1.0]), iv) for x in (0.0, 0.5, 1.0)] for iv in ivs]
+        assert held == [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
 
     def test_every_point_lands_in_exactly_one(self):
         ivs = intervals_from_cuts([0.0, 0.25, 0.5, 1.0])
         for x in (0.0, 0.1, 0.25, 0.49999, 0.5, 0.75, 1.0):
-            assert sum(iv.contains(x) for iv in ivs) == 1
+            held = sorted(mass_in(atoms([x], [1.0]), iv) for iv in ivs)
+            assert held == [0.0, 0.0, 1.0]
 
     def test_interval_validation(self):
         with pytest.raises(InvalidBounds):
@@ -370,6 +365,19 @@ class TestSampling:
         with pytest.raises(VarsplitError, match="must be >= 1"):
             sample(atoms([1.0], [1.0]), seed=1, n=0)
 
+    def test_size_stops_at_the_limit(self):
+        """MAX_TRIALS draws are made; one more is refused before any is drawn."""
+        assert sample(uniform(0.0, 1.0), seed=1, n=MAX_TRIALS).size == MAX_TRIALS
+        tracemalloc.start()
+        try:
+            for model in (uniform(0.0, 1.0), atoms([1.0], [1.0])):
+                with pytest.raises(InvalidBounds, match=f"^sample size must be <= {MAX_TRIALS},"):
+                    sample(model, 0, MAX_TRIALS + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"the refusal allocated {peak / 2**20:.2f} MB"
+
     def test_seed_changes_stream(self):
         a = sample(uniform(0.0, 1.0), seed=1, n=100)
         b = sample(uniform(0.0, 1.0), seed=2, n=100)
@@ -385,7 +393,7 @@ class TestSampling:
         source = uniform(0.0, 1.0)
         emp = empirical(sample(source, seed=10, n=10**5))
         grid = np.linspace(0.0, 1.0, 201)
-        worst = max(abs(cdf(emp, float(x)) - cdf(source, float(x))) for x in grid)
+        worst = max(abs(emp.law.cdf(float(x)) - source.law.cdf(float(x))) for x in grid)
         assert worst <= 0.02
 
 

@@ -36,7 +36,7 @@ from varsplit import (
     decompose,
     empirical,
     expected_shortfall,
-    randomized_unit_es,
+    randomized_unit_price,
     uniform,
 )
 from varsplit.loss_model import UniformLaw, level_weight
@@ -107,8 +107,8 @@ def worst_ulps(model, cuts, alpha, subsidiaries):
         "expected_shortfall": ulps(
             expected_shortfall(model, alpha), exact_tail(law, *whole, alpha) / (1 - a)
         ),
-        "randomized_unit_es": ulps(
-            randomized_unit_es(model, subsidiaries, alpha),
+        "randomized_unit_price_es": ulps(
+            randomized_unit_price(model, subsidiaries, alpha)[2],
             exact_tail(law, *whole, max(0, 1 - budget)) / budget,
         ),
     }
@@ -260,6 +260,6 @@ def test_es_near_the_top_float_stays_finite(model):
     """A sample whose values times counts overflow has the ES of its atom list:
     finite, at most the top loss, and with no overflow warning."""
     table = decompose(model, Partition((0.0, 1.2e308, model.max_loss)), 0.1)
-    figures = [expected_shortfall(model, 0.1), randomized_unit_es(model, 2, 0.1), *table[2]]
+    figures = [expected_shortfall(model, 0.1), randomized_unit_price(model, 2, 0.1)[2], *table[2]]
     assert all(np.isfinite(figures)) and max(figures) <= model.max_loss
     assert expected_shortfall(model, 0.1) == pytest.approx(1.583333333333333e308, rel=1e-15)

@@ -11,11 +11,11 @@ PUBLIC = [
     "InvalidLevel", "LossModel", "MASS_GUARD", "NInsufficient", "NegativeLoss",
     "OverheadSchedule", "Partition", "PartitionMismatch", "ProbsNotNormalized",
     "SolveResult", "VarsplitError", "additivity_gap", "atoms", "build_model",
-    "build_partition", "cdf", "decompose", "empirical", "es_of_tranche",
+    "build_partition", "decompose", "empirical", "es_of_tranche",
     "expected_shortfall", "intervals_from_cuts", "load_losses_csv", "mass_in",
-    "min_subsidiaries", "order_stat_rank", "randomized_assign", "randomized_unit_es",
-    "randomized_unit_var", "sample", "solve_tranche_dp", "solve_with_overhead",
-    "uniform", "var", "var_of_tranche",
+    "min_subsidiaries", "order_stat_rank", "randomized_assign", "randomized_unit_price",
+    "sample", "solve_tranche_dp", "solve_with_overhead", "uniform", "var",
+    "var_of_tranche",
 ]
 
 

@@ -15,15 +15,13 @@ from varsplit import (
     additivity_gap,
     atoms,
     build_partition,
-    cdf,
     decompose,
     empirical,
     es_of_tranche,
     expected_shortfall,
     intervals_from_cuts,
     min_subsidiaries,
-    randomized_unit_es,
-    randomized_unit_var,
+    randomized_unit_price,
     sample,
     solve_tranche_dp,
     solve_with_overhead,
@@ -46,8 +44,7 @@ LEVEL_ENTRY_POINTS = {
     "decompose": lambda lvl: decompose(A3, Partition((0.0, 10.0)), lvl),
     "additivity_gap": lambda lvl: additivity_gap(A3, Partition((0.0, 10.0)), lvl),
     "min_subsidiaries": lambda lvl: min_subsidiaries(lvl),
-    "randomized_unit_var": lambda lvl: randomized_unit_var(A3, 21, lvl),
-    "randomized_unit_es": lambda lvl: randomized_unit_es(A3, 21, lvl),
+    "randomized_unit_price": lambda lvl: randomized_unit_price(A3, 21, lvl),
     "solve_with_overhead": lambda lvl: solve_with_overhead(A3, lvl, 2),
     "solve_tranche_dp": lambda lvl: solve_tranche_dp(A3, lvl, 2),
 }
@@ -100,7 +97,7 @@ class TestVar:
     def test_matches_strict_quantile(self):
         """VaR is the least atom x with cdf(x) > alpha, read off the cdf."""
         for alpha in (0.1, 0.5, 0.9, 0.95):
-            want = min(x for x in A3.law.values.tolist() if cdf(A3, x) > alpha)
+            want = min(x for x in A3.law.values.tolist() if A3.law.cdf(x) > alpha)
             assert var(A3, alpha) == want
 
     def test_monotone_in_level(self):

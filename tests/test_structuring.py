@@ -27,8 +27,7 @@ from varsplit import (
     mass_in,
     min_subsidiaries,
     randomized_assign,
-    randomized_unit_es,
-    randomized_unit_var,
+    randomized_unit_price,
     sample,
     solve_tranche_dp,
     solve_with_overhead,
@@ -128,13 +127,13 @@ class TestMinSubsidiaries:
         for alpha in (0.9, 0.95, 0.99, 0.8, 0.5, *(1.0 - 10.0**-k for k in range(1, 12))):
             n = min_subsidiaries(alpha)
             if n <= MAX_UNITS:
-                assert randomized_unit_var(SINGLE_ATOM_100, n, alpha) == 0.0
+                assert randomized_unit_price(SINGLE_ATOM_100, n, alpha)[1] == 0.0
                 if n > 1:
-                    assert randomized_unit_var(SINGLE_ATOM_100, n - 1, alpha) == 100.0
+                    assert randomized_unit_price(SINGLE_ATOM_100, n - 1, alpha)[1] == 100.0
                 continue
             assert _mass_ok(1.0 / n, alpha) and not _mass_ok(1.0 / (n - 1), alpha)
             with pytest.raises(InvalidBounds, match=f"^{n} subsidiaries exceed the limit"):
-                randomized_unit_var(SINGLE_ATOM_100, n, alpha)
+                randomized_unit_price(SINGLE_ATOM_100, n, alpha)
 
     @pytest.mark.parametrize("alpha", [1.0 - 1e-12, 0.9999999999995, 0.9999999999999999])
     def test_no_count_once_the_guarded_level_reaches_one(self, alpha):
@@ -492,32 +491,41 @@ class TestValidateScheme:
 
 
 class TestRandomizedUnitAnalytics:
+    """``randomized_unit_price`` gives one subsidiary's mass, VaR and ES."""
+
     def test_valid_scheme_is_free(self):
-        assert randomized_unit_var(SINGLE_ATOM_100, 21, 0.95) == 0.0
-        assert randomized_unit_var(U01, 21, 0.95) == 0.0
+        assert randomized_unit_price(SINGLE_ATOM_100, 21, 0.95)[1] == 0.0
+        assert randomized_unit_price(U01, 21, 0.95)[1] == 0.0
 
     def test_boundary_and_small_schemes_pay_in_full(self):
-        assert randomized_unit_var(SINGLE_ATOM_100, 20, 0.95) == 100.0
-        assert randomized_unit_var(SINGLE_ATOM_100, 10, 0.95) == 100.0
+        assert randomized_unit_price(SINGLE_ATOM_100, 20, 0.95)[1] == 100.0
+        assert randomized_unit_price(SINGLE_ATOM_100, 10, 0.95)[1] == 100.0
 
     @pytest.mark.parametrize("units", [0, -1])
     @pytest.mark.parametrize("model", [U01, SINGLE_ATOM_100], ids=["uniform", "atom"])
     def test_fewer_than_one_subsidiary_rejected(self, model, units):
         """No division by zero, no false zero capital, no misleading level error."""
-        for measure in (randomized_unit_var, randomized_unit_es):
-            with pytest.raises(InvalidBounds, match="at least one subsidiary"):
-                measure(model, units, 0.95)
+        with pytest.raises(InvalidBounds, match="at least one subsidiary"):
+            randomized_unit_price(model, units, 0.95)
+
+    def test_mass_is_the_chance_of_a_positive_loss(self):
+        """A unit loses when it is drawn (1/N) and the loss is positive; an
+        atom at 0 takes its weight out of every unit's mass."""
+        assert randomized_unit_price(SINGLE_ATOM_100, 20, 0.95)[0] == 1.0 / 20
+        assert randomized_unit_price(U01, 21, 0.95)[0] == 1.0 / 21
+        assert randomized_unit_price(atoms([0.0, 100.0], [0.5, 0.5]), 10, 0.95)[0] == 0.05
+        assert randomized_unit_price(TIED, 4, 0.5)[0] == 0.8 / 4
 
     def test_small_scheme_on_continuous_model(self):
         """With N = 10 the unit's tail reaches the median of the book."""
-        assert randomized_unit_var(U01, 10, 0.95) == pytest.approx(0.5, abs=1e-12)
+        assert randomized_unit_price(U01, 10, 0.95)[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_unit_es_keeps_the_mean(self):
         """N units each hold ES = E[X] / (N (1 - alpha)): nothing is destroyed."""
-        got = randomized_unit_es(U01, 21, 0.95)
+        got = randomized_unit_price(U01, 21, 0.95)[2]
         assert got == pytest.approx(0.5 / 1.05, abs=1e-12)
         assert 21 * got == pytest.approx(10.0, abs=1e-9)
-        assert randomized_unit_es(SINGLE_ATOM_100, 21, 0.95) == pytest.approx(
+        assert randomized_unit_price(SINGLE_ATOM_100, 21, 0.95)[2] == pytest.approx(
             100.0 / 1.05, rel=1e-12
         )
 
@@ -529,7 +537,7 @@ class TestRandomizedUnitAnalytics:
                 [1.0 - 1.0 / n_units, 1.0 / n_units],
             )
             for alpha in (0.6, 0.9, 0.95, 0.99):
-                got = randomized_unit_var(SINGLE_ATOM_100, n_units, alpha)
+                got = randomized_unit_price(SINGLE_ATOM_100, n_units, alpha)[1]
                 assert got == var(mixture, alpha)
 
 
@@ -579,10 +587,9 @@ class TestZeroCapitalProperty:
         (lambda n: solve_tranche_dp(FIVE_FIFTHS, 0.5, n), InvalidBounds),
         (lambda n: solve_with_overhead(FIVE_FIFTHS, 0.5, n), InvalidBounds),
         (lambda n: randomized_assign(n, 0, [1.0, 2.0]), InvalidBounds),
-        (lambda n: randomized_unit_var(FIVE_FIFTHS, n, 0.5), InvalidBounds),
-        (lambda n: randomized_unit_es(FIVE_FIFTHS, n, 0.5), InvalidBounds),
+        (lambda n: randomized_unit_price(FIVE_FIFTHS, n, 0.5), InvalidBounds),
     ],
-    ids=["partition", "solve_dp", "solve_overhead", "scheme", "unit_var", "unit_es"],
+    ids=["partition", "solve_dp", "solve_overhead", "scheme", "unit_price"],
 )
 def test_unit_counts_must_be_integers(count_into, error):
     """A fractional, float, text or boolean count is refused by name, never
@@ -600,10 +607,9 @@ def test_unit_counts_must_be_integers(count_into, error):
         lambda n: build_partition(FIVE_FIFTHS, 0.5, n),
         lambda n: build_partition(U01, 0.5, n),
         lambda n: randomized_assign(n, 0, [1.0, 2.0]),
-        lambda n: randomized_unit_var(FIVE_FIFTHS, n, 0.5),
-        lambda n: randomized_unit_es(FIVE_FIFTHS, n, 0.5),
+        lambda n: randomized_unit_price(FIVE_FIFTHS, n, 0.5),
     ],
-    ids=["partition", "uniform_partition", "scheme", "unit_var", "unit_es"],
+    ids=["partition", "uniform_partition", "scheme", "unit_price"],
 )
 def test_unit_counts_stop_at_the_limit(count_into):
     """MAX_UNITS units are built or priced; one more is refused by name."""

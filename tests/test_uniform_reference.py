@@ -29,7 +29,6 @@ from helpers import (
 from varsplit import (
     MASS_GUARD,
     Interval,
-    cdf,
     es_of_tranche,
     expected_shortfall,
     mass_in,
@@ -95,7 +94,7 @@ def test_queries_match_the_closed_forms(lower, width, alpha, t1, t2, closed_hi):
         (model.law.tail(*model.law.whole, 0.0), uniform_mean_tail(model, 0.0)),
         (expected_shortfall(model, alpha), uniform_expected_shortfall(model, alpha)),
     ]
-    pairs += [(cdf(model, x), uniform_cdf(model, x)) for x in (lo, hi, lower, upper)]
+    pairs += [(model.law.cdf(x), uniform_cdf(model, x)) for x in (lo, hi, lower, upper)]
     assert [bits(got) for got, _ in pairs] == [bits(want) for _, want in pairs]
 
 
