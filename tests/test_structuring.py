@@ -587,9 +587,10 @@ class TestZeroCapitalProperty:
         (lambda n: solve_tranche_dp(FIVE_FIFTHS, 0.5, n), InvalidBounds),
         (lambda n: solve_with_overhead(FIVE_FIFTHS, 0.5, n), InvalidBounds),
         (lambda n: randomized_assign(n, 0, [1.0, 2.0]), InvalidBounds),
-        (lambda n: randomized_unit_price(FIVE_FIFTHS, n, 0.5), InvalidBounds),
+        (lambda n: randomized_unit_price(FIVE_FIFTHS, n, 0.5)[1], InvalidBounds),
+        (lambda n: randomized_unit_price(FIVE_FIFTHS, n, 0.5)[2], InvalidBounds),
     ],
-    ids=["partition", "solve_dp", "solve_overhead", "scheme", "unit_price"],
+    ids=["partition", "solve_dp", "solve_overhead", "scheme", "unit_var", "unit_es"],
 )
 def test_unit_counts_must_be_integers(count_into, error):
     """A fractional, float, text or boolean count is refused by name, never
@@ -607,9 +608,10 @@ def test_unit_counts_must_be_integers(count_into, error):
         lambda n: build_partition(FIVE_FIFTHS, 0.5, n),
         lambda n: build_partition(U01, 0.5, n),
         lambda n: randomized_assign(n, 0, [1.0, 2.0]),
-        lambda n: randomized_unit_price(FIVE_FIFTHS, n, 0.5),
+        lambda n: randomized_unit_price(FIVE_FIFTHS, n, 0.5)[1],
+        lambda n: randomized_unit_price(FIVE_FIFTHS, n, 0.5)[2],
     ],
-    ids=["partition", "uniform_partition", "scheme", "unit_price"],
+    ids=["partition", "uniform_partition", "scheme", "unit_var", "unit_es"],
 )
 def test_unit_counts_stop_at_the_limit(count_into):
     """MAX_UNITS units are built or priced; one more is refused by name."""
