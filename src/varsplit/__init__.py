@@ -50,7 +50,6 @@ from .risk_measures import (
 )
 from .structuring import (
     Partition,
-    additivity_gap,
     build_partition,
     decompose,
     min_subsidiaries,

@@ -23,7 +23,6 @@ from .loss_model import (
 )
 from .risk_measures import (
     _alpha,
-    var,
     var_of_tranche,  # unused here; perfbench/tracing.py wraps it
 )
 
@@ -194,18 +193,6 @@ def decompose(model: LossModel, partition: Partition, level: float) -> np.ndarra
     table = np.array(model.law.price(cuts, alpha))
     table.flags.writeable = False
     return table
-
-
-def additivity_gap(model: LossModel, partition: Partition, level: float) -> float:
-    """Summed tranche VaR of :func:`decompose` minus the whole-book VaR.
-
-    The tranche VaRs are added in tranche order, as a report's
-    ``sum_tranche_vars`` adds them. A negative gap is the arbitrage: the
-    parts are charged less than the whole.
-    """
-    alpha = _alpha(level)
-    _, tranche_vars, _ = decompose(model, partition, alpha)
-    return sum(tranche_vars.tolist()) - var(model, alpha)
 
 
 def randomized_assign(subsidiaries: int, seed: int, losses) -> np.ndarray:

@@ -7,28 +7,30 @@ are integer multiples of a power of two keep every product and partial sum
 exact in binary floating point, which is what lets the additivity and
 solver-agreement suites assert exact equality instead of tolerances.
 
-``brute_force_oracle`` is the exhaustive reference the solver suites check
-the solver against, ``group_table`` the scan that
-``DiscreteLaw.groups`` must match, ``reference_solve`` the exact-r suffix
-table, over ``tranche_tables`` built from their definition, that the
-solver's walk must match bit for bit, ``reference_partition_cuts`` the
-pair-list split that ``build_partition`` must match cut for cut, ``csv_rows_oracle``
-the row-by-row CSV reader the ingest suite checks ``load_losses_csv``
-against, ``sorted_sample`` the sample an empirical model's law counts, ``exact_mass``
-and ``exact_tail`` the rational mass and tail integral of a unit of a
-discrete law that ``price``'s floats are measured against in ``ulps``, the
-``uniform_*`` functions the closed forms the uniform law must reproduce
-bit for bit, ``exact_quantile`` the strict quantile of a decimal or
-rational law that ``var`` and ``price``'s VaR are held to, and
-``order_statistic_p`` the exact binomial law of a Monte Carlo order
-statistic that the empirical unit VaRs are tested against.
+The solver's references price in exact arithmetic on the integer law a
+test drew, never through the package's guarded float rule:
+``brute_force_oracle`` enumerates every split of at most 12 atoms, each
+group priced by ``exact_quantile``, and ``exact_walk`` runs the solver's
+free-group walk on integer prefix sums for laws of any size; both return
+the whole solve outcome. ``reference_partition_cuts`` is the pair-list
+split, grouped by exact mass, that ``build_partition`` must match cut for
+cut. ``group_table`` is the scan that ``DiscreteLaw.groups`` must match, by
+its guarded definition. ``csv_rows_oracle`` is the row-by-row CSV reader
+the ingest suite checks ``load_losses_csv`` against, ``sorted_sample`` the
+sample an empirical model's law counts, ``exact_mass`` and ``exact_tail``
+the rational mass and tail integral of a unit of a discrete law that
+``price``'s floats are measured against in ``ulps``, the ``uniform_*``
+functions the closed forms the uniform law must reproduce bit for bit,
+``exact_quantile`` the strict quantile of a decimal or rational law that
+``var`` and ``price``'s VaR are held to, and ``order_statistic_p`` the
+exact binomial law of a Monte Carlo order statistic that the empirical unit
+VaRs are tested against.
 """
 
 import csv
 import functools
 import itertools
 import math
-from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +39,6 @@ import numpy as np
 from varsplit import (
     CsvFormatError,
     EmptySupport,
-    InvalidBounds,
     LossModel,
     NegativeLoss,
     OverheadSchedule,
@@ -46,15 +47,15 @@ from varsplit import (
     atoms,
     empirical,
 )
-from varsplit.loss_model import MASS_GUARD, DiscreteLaw
-from varsplit.risk_measures import _alpha
+from varsplit import loss_model
+from varsplit.loss_model import DiscreteLaw
 
 #: Largest support the exhaustive oracle will enumerate.
 MAX_ORACLE_ATOMS = 12
 
 
 class OracleTooLarge(ValueError):
-    """A model has more atoms than :func:`brute_force_oracle` enumerates."""
+    """A law has more atoms than :func:`brute_force_oracle` enumerates."""
 
 
 def dyadic_weights(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -82,17 +83,23 @@ def integer_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 50, size=n).astype(float)
 
 
+def random_dyadic_law(rng: np.random.Generator, max_atoms: int = 8) -> tuple[list, list]:
+    """2 to ``max_atoms`` distinct integer values in 0..100 and integer weights
+    over a total of 256."""
+    m = int(rng.integers(2, max_atoms + 1))
+    values = np.sort(rng.choice(101, size=m, replace=False))
+    counts = rng.multinomial(256 - m, np.full(m, 1.0 / m)) + 1
+    return values.tolist(), counts.tolist()
+
+
 def random_dyadic_atoms(rng: np.random.Generator, max_atoms: int = 8) -> LossModel:
-    """Small atomic model with integer values and masses on the 1/256 grid.
+    """:func:`random_dyadic_law` as an atom list, its masses on the 1/256 grid.
 
     Integer values and dyadic masses make every cumulative mass exact, so
-    the solver and the enumeration oracle see identical group feasibility
-    decisions and their capitals must agree exactly, not approximately.
+    the package decides each group as exact arithmetic does.
     """
-    m = int(rng.integers(2, max_atoms + 1))
-    values = np.sort(rng.choice(101, size=m, replace=False)).astype(float)
-    counts = rng.multinomial(256 - m, np.full(m, 1.0 / m)) + 1
-    return atoms(values, counts / 256.0)
+    values, counts = random_dyadic_law(rng, max_atoms)
+    return atoms(values, np.array(counts) / 256.0)
 
 
 def near_uniform_500_atoms() -> LossModel:
@@ -110,32 +117,115 @@ def near_uniform_500_atoms() -> LossModel:
     return atoms(values, masses)
 
 
-def brute_force_oracle(model: LossModel, level: float, n: int) -> float:
-    """Minimal capital over at most n contiguous groups, by full enumeration.
+def _decimal(level: float) -> Fraction:
+    """The level as the decimal its ``repr`` denotes: 0.95 is 19/20, not the float nearest it."""
+    return Fraction(repr(float(level)))
 
-    Exponential in the atom count, so capped hard; meant as an independent
-    check on the solver, not for production use. Groups are priced
-    by :meth:`DiscreteLaw.unit_var`, the rule every tranche quantile uses.
+
+def _cuts(values, ends) -> tuple[float, ...]:
+    """The cuts of a split with group ``ends``: 0, the midpoint of the atoms
+    either side of each inner end, and the top atom. That midpoint is the
+    package's cut wherever it lies strictly between the two atoms, as it
+    does for the integer values the oracles are given."""
+    return (0.0, *((values[e - 1] + values[e]) / 2 for e in ends[:-1]), float(values[-1]))
+
+
+@functools.lru_cache(maxsize=16)
+def _cheapest_splits(values: tuple, weights: tuple, level: Fraction) -> dict:
+    """For each group count r, the least exact capital of a split into r
+    contiguous groups and the lexicographically smallest ends that reach it.
+
+    Each group is priced once, by :func:`exact_quantile` of its unit's law:
+    the group's atoms after a zero that carries the rest of the weight, the
+    weights and the level both scaled by the total. Prices are held as
+    integers by :func:`_fixed`, so every capital is an exact integer sum.
     """
-    alpha = _alpha(level)
-    law = model.law
-    if not isinstance(law, DiscreteLaw):
-        raise InvalidBounds("the oracle enumerates explicit atom lists only")
-    m = law.values.size
-    if m > MAX_ORACLE_ATOMS:
-        raise OracleTooLarge(f"{m} atoms exceed the oracle bound {MAX_ORACLE_ATOMS}")
-    if n < 1:
-        raise InvalidBounds(f"need at least one group, got {n}")
-    best = np.inf
-    for r in range(1, min(n, m) + 1):
+    m, total = len(values), sum(weights)
+    price = {}
+    for a, b in itertools.combinations(range(m + 1), 2):
+        unit = [0, *values[a:b]], [total - sum(weights[a:b]), *weights[a:b]]
+        price[a, b] = _fixed(exact_quantile(*unit, level * total))
+    best = {}
+    for r in range(1, m + 1):
         for inner in itertools.combinations(range(1, m), r - 1):
-            bounds = (0, *inner, m)
-            total = 0.0
-            for a, b in zip(bounds, bounds[1:]):
-                total += law.unit_var(a, b, alpha)
-            if total < best:
-                best = total
-    return float(best)
+            ends = (*inner, m)
+            capital = sum(price[a, b] for a, b in zip((0, *inner), ends))
+            if r not in best or capital < best[r][0]:
+                best[r] = capital, ends
+    return best
+
+
+def brute_force_oracle(values, weights, level: float, n_max: int, overhead=OverheadSchedule()):
+    """``solve_with_overhead`` on the law with integer ``weights`` on ``values``,
+    by full enumeration in exact arithmetic.
+
+    The level is the decimal that ``repr(level)`` denotes. capital(N) is the
+    least exact capital of any split into at most N contiguous groups, taken
+    at the fewest groups and then the lexicographically smallest ends; the
+    chosen N minimizes capital(N) + overhead(N) in floats, ties going to the
+    smaller N. Returns ``(best_n, cuts, capital, objective)``. The group
+    table is built once per law and level; enumeration is exponential in
+    the atom count, so it is capped at :data:`MAX_ORACLE_ATOMS`.
+    """
+    if len(values) > MAX_ORACLE_ATOMS:
+        raise OracleTooLarge(f"{len(values)} atoms exceed the oracle bound {MAX_ORACLE_ATOMS}")
+    best = _cheapest_splits(tuple(values), tuple(weights), _decimal(level))
+    splits = [best[1]]  # splits[N - 1]: capital(N) and its ends
+    for n in range(2, n_max + 1):
+        split = best.get(n, splits[-1])
+        splits.append(split if split[0] < splits[-1][0] else splits[-1])
+    caps = [float(Fraction(capital, _ONE)) for capital, _ in splits]
+    objs = [capital + overhead.cost(n) for n, capital in enumerate(caps, 1)]
+    n = objs.index(min(objs)) + 1
+    return n, _cuts(values, splits[n - 1][1]), caps[n - 1], objs[n - 1]
+
+
+def bits(outcome) -> tuple:
+    """A solve's ``(best_n, cuts, capital, objective)``, read from a
+    :class:`SolveResult` or an oracle's tuple, each float as its bit pattern."""
+    if isinstance(outcome, SolveResult):
+        outcome = outcome.best_n, outcome.partition.cuts, outcome.capital, outcome.objective
+    best_n, cuts, capital, objective = outcome
+    return best_n, [float(c).hex() for c in cuts], float(capital).hex(), float(objective).hex()
+
+
+def exact_walk(values, weights, level: float, n_max: int, overhead=OverheadSchedule()):
+    """What :func:`brute_force_oracle` returns, by the walk over free groups
+    that the :mod:`varsplit.capital_solver` docstring derives, run on the
+    integer prefix sums of the law: O(m) steps for the walk, and O(m) more
+    for each budget it prices.
+
+    A group is free when its exact VaR is 0: when the weight of its unit's
+    zero (the rest of the law, and an atom at 0 in the group) exceeds the
+    level times the total. ``starts[0]`` is m, and each step takes the least
+    atom from which the group up to the last start is free; N groups cost 0
+    when ``starts[N]`` is 0, and otherwise the exact VaR of the group that
+    ends at ``starts[N - 1]``. The walk stops at 0, at a start it cannot
+    lower, or at ``n_max``.
+    """
+    m, total = len(values), sum(weights)
+    cum = [0, *itertools.accumulate(weights)]
+    bar = _decimal(level) * total
+    zero = int(values[0] == 0)  # an atom at 0 adds to the zero of a group that holds it
+
+    def free(a: int, b: int) -> bool:
+        return total - cum[b] + cum[max(a, zero)] > bar
+
+    def costly(b: int):  # the strict quantile of the unit bearing values[0:b]
+        return next(values[j] for j in range(b) if total - cum[b] + cum[j + 1] > bar)
+
+    starts = [m]
+    while len(starts) <= n_max:
+        s = a = starts[-1]
+        while a > 0 and free(a - 1, s):
+            a -= 1
+        starts.append(a)
+        if a in (0, s):
+            break
+    caps = [0 if s == 0 else costly(t) for t, s in zip(starts, starts[1:])]
+    objs = [float(capital) + overhead.cost(n) for n, capital in enumerate(caps, 1)]
+    n = objs.index(min(objs)) + 1
+    return n, _cuts(values, starts[n - 1 :: -1]), float(caps[n - 1]), objs[n - 1]
 
 
 def csv_rows_oracle(path) -> LossModel:
@@ -188,24 +278,30 @@ def csv_rows_oracle(path) -> LossModel:
     return empirical(losses)
 
 
-def reference_partition_cuts(model: LossModel, alpha: float, n: int) -> tuple[float, ...]:
-    """Cuts of an n-tranche split of a discrete model, kept as [start, end] pairs.
+def reference_partition_cuts(values, weights, alpha: float, n: int) -> tuple[float, ...]:
+    """Cuts of an n-tranche split of the law with integer ``weights`` on
+    ``values``, kept as [start, end] pairs and grouped in exact arithmetic.
 
     The discrete branch of ``build_partition`` as it stood before the split
-    held only its group ends, verbatim but for the checks and the inlined
-    greedy packing: groups are halved, the leftmost of the widest first, and
-    cuts land midway between the groups' edge atoms.
+    held only its group ends, but for the checks, the inlined greedy packing
+    and its rule: a group is free when its weight is below 1 - alpha times
+    the total, alpha read as the decimal ``repr(alpha)`` denotes, where the
+    package compares floats under its guard. Each group is the longest free
+    run from the end of the last; groups are halved, the leftmost of the
+    widest first, and cuts land midway between the groups' edge atoms.
     """
-    law = model.law
-    vals = law.values
-    tops = law.top(np.arange(1, vals.size + 1), alpha)
+    bar = (1 - _decimal(alpha)) * sum(weights)
     groups = []
     start = 0
-    while start < tops.size:
-        end = int(np.searchsorted(tops, start, side="right"))
-        groups.append((start, end))
+    while start < len(values):
+        end, weight = start, 0
+        while end < len(values) and weight + weights[end] < bar:
+            weight += weights[end]
+            end += 1
+        if end == start:
+            raise ValueError(f"atom {values[start]} alone weighs at least 1 - alpha")
+        groups.append([start, end])
         start = end
-    groups = [list(g) for g in groups]
     while len(groups) < n:
         sizes = [g[1] - g[0] for g in groups]
         widest = max(sizes)
@@ -217,13 +313,13 @@ def reference_partition_cuts(model: LossModel, alpha: float, n: int) -> tuple[fl
         groups[k : k + 1] = [[start, mid], [mid, end]]
     cuts = [0.0]
     for g, nxt in zip(groups, groups[1:]):
-        cuts.append((float(vals[g[1] - 1]) + float(vals[nxt[0]])) / 2.0)
-    cuts.append(model.max_loss)
+        cuts.append((float(values[g[1] - 1]) + float(values[nxt[0]])) / 2.0)
+    cuts.append(float(values[-1]))
     extra = n - len(groups)
     if extra > 0:
         # All groups are single atoms; spend the leftover tranche budget on
         # empty slivers between the first atom and the first cut above it.
-        top0 = float(vals[groups[0][1] - 1])
+        top0 = float(values[groups[0][1] - 1])
         slivers = np.linspace(top0, cuts[1], extra + 2)[1:-1]
         cuts = [cuts[0], *map(float, slivers), *cuts[1:]]
     return Partition(tuple(cuts)).cuts
@@ -239,7 +335,7 @@ def group_table(law: DiscreteLaw, alpha: float):
     priced at the atom before the least start t whose group t..b-1 is free.
     """
     m = law.values.size
-    bound = (alpha + MASS_GUARD) * law.total
+    bound = (alpha + loss_model.MASS_GUARD) * law.total
 
     def free(a: int, b: int) -> bool:
         return law.total - float(np.sum(law.weights[a:b])) > bound
@@ -248,133 +344,6 @@ def group_table(law: DiscreteLaw, alpha: float):
     least = [next(t for t in range(b + 1) if free(t, b)) for b in range(1, m + 1)]
     price = [law.values[max(t, 1) - 1] for t in least]
     return np.array(price), np.array(reach)
-
-
-def tranche_tables(model: LossModel, alpha: float):
-    """Positive atom values and per-right-edge threshold indices, by definition.
-
-    An atom at 0 is in every group's zero mass, so groups hold positive atoms
-    only. The unit that bears positive atoms k+1..j (1-based) loses 0 with
-    weight W = total - their weight, so its quantile is 0 exactly when W
-    passes alpha under the boundary rule W > (alpha + MASS_GUARD) * total.
-    tstar[j - 1] is the least such k, found by scanning every (k, j): O(m^2),
-    and independent of the solver's prefix-sum search.
-    """
-    law = model.law
-    positive = law.values > 0.0
-    pvals, pweights = law.values[positive], law.weights[positive]
-    bound = (alpha + MASS_GUARD) * law.total
-    tstar = [
-        next(k for k in range(j + 1) if law.total - float(np.sum(pweights[k:j])) > bound)
-        for j in range(1, pvals.size + 1)
-    ]
-    return pvals, np.array(tstar, dtype=np.int64)
-
-
-# A suffix table whose row r covers each suffix with exactly r groups, built
-# by a sliding-window loop over every (row, atom) state, with every row kept
-# for the cut walk. ``reference_solve`` runs it as the reference that the
-# vectorized at-most-r solver must match bit for bit.
-
-
-def _dp_rows(tstar: np.ndarray, varpt: np.ndarray, rmax: int):
-    """Suffix tables row by row: rows[r][i] covers atoms i..mp with r groups.
-
-    Stops after the first row whose full-support capital rows[r][1] is 0.
-
-    Both branches of the recurrence are amortized O(1) per state. Free groups
-    ending before index tstar reach the previous row through a sliding-window
-    minimum whose ends only move left as i decreases; costly groups share a
-    per-row array B[j] = varpt[j] + prev[j+1] folded right to left.
-    """
-    mp = varpt.size
-    jz = np.searchsorted(tstar, np.arange(1, mp + 1), side="left") + 1
-    prev = np.full(mp + 2, np.inf)
-    prev[mp + 1] = 0.0
-    rows = [prev]
-    for r in range(1, rmax + 1):
-        cur = np.full(mp + 2, np.inf)
-        bcost = np.full(mp + 2, np.inf)
-        bcost[1 : mp + 1] = varpt + prev[2:]
-        window: deque[int] = deque()
-        ptr = mp + 1
-        rmin = np.inf
-        for i in range(mp, 0, -1):
-            k = i + 1
-            v = prev[k]
-            while window and prev[window[0]] >= v:
-                window.popleft()
-            window.appendleft(k)
-            hi = min(int(jz[i - 1]), mp + 1)
-            while window and window[-1] > hi:
-                window.pop()
-            zmin = prev[window[-1]] if window else np.inf
-            lo = int(jz[i - 1])
-            while ptr > lo:
-                ptr -= 1
-                if bcost[ptr] < rmin:
-                    rmin = bcost[ptr]
-            cur[i] = zmin if zmin <= rmin else rmin
-        rows.append(cur)
-        prev = cur
-        if cur[1] == 0.0:
-            break
-    return rows
-
-
-def _walk_cuts(rows, tstar, varpt, pvals, gstar: int, max_loss: float) -> Partition:
-    """Recover the lexicographically smallest cut vector achieving the optimum.
-
-    Candidate values are recomputed with the same expressions the table used,
-    so the equality test against the stored optimum is exact.
-    """
-    mp = varpt.size
-    target = rows[gstar][1]
-    cuts = [0.0]
-    i = 1
-    for r in range(gstar, 0, -1):
-        nxt = rows[r - 1]
-        for j in range(i, mp + 1):
-            if tstar[j - 1] <= i - 1:
-                cand = nxt[j + 1]
-            else:
-                cand = varpt[j - 1] + nxt[j + 1]
-            if cand == target:
-                if r > 1:
-                    cuts.append((float(pvals[j - 1]) + float(pvals[j])) / 2.0)
-                target = nxt[j + 1]
-                i = j + 1
-                break
-        else:
-            raise AssertionError("suffix table reconstruction lost the optimum")
-    cuts.append(float(max_loss))
-    return Partition(tuple(cuts))
-
-
-def reference_solve(
-    model: LossModel, level: float, n_max: int, sched: OverheadSchedule
-) -> SolveResult:
-    """``solve_with_overhead`` through the exact-r reference DP above, on
-    tables built from their definition by :func:`tranche_tables`."""
-    pvals, tstar = tranche_tables(model, _alpha(level))
-    mp = pvals.size
-    if mp == 0:
-        raise InvalidBounds("all loss mass sits at zero; there is nothing to split")
-    varpt = pvals[np.maximum(tstar, 1) - 1]
-    rows = _dp_rows(tstar, varpt, min(n_max, mp))
-    capital, groups = np.inf, 0
-    best = None
-    for n_units in range(1, len(rows)):
-        if rows[n_units][1] < capital:
-            capital, groups = float(rows[n_units][1]), n_units
-        obj = capital + sched.cost(n_units)
-        if best is None or obj < best[0]:
-            best = (obj, capital, groups)
-    obj, capital, groups = best
-    partition = _walk_cuts(rows, tstar, varpt, pvals, groups, model.max_loss)
-    return SolveResult(
-        best_n=groups, partition=partition, capital=capital, objective=float(obj)
-    )
 
 
 # The closed forms of a uniform model as they stood before the model held a

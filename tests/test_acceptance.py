@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bits,
     brute_force_oracle,
     dyadic_weights,
     grid_uniform_samples,
     integer_samples,
     near_uniform_500_atoms,
-    random_dyadic_atoms,
+    random_dyadic_law,
 )
 from varsplit import (
     NInsufficient,
@@ -134,15 +135,17 @@ def test_criterion_4_comonotonic_additivity():
 
 
 def test_criterion_5_solver_matches_oracle():
-    """The solver equals exhaustive enumeration on 200 small instances, exactly."""
+    """The solver equals exhaustive enumeration in exact arithmetic on 200
+    small instances: unit count, cuts, capital and objective, bit for bit."""
     start = time.perf_counter()
     rng = np.random.default_rng(20240817)
     mismatches = 0
     for _ in range(200):
-        model = random_dyadic_atoms(rng, max_atoms=8)
+        values, counts = random_dyadic_law(rng, max_atoms=8)
         alpha = float(rng.choice([0.9, 0.95, 0.99]))
         n = int(rng.integers(1, 5))
-        if brute_force_oracle(model, alpha, n) != solve_tranche_dp(model, alpha, n).capital:
+        res = solve_tranche_dp(atoms(values, np.array(counts) / 256), alpha, n)
+        if bits(res) != bits(brute_force_oracle(values, counts, alpha, n)):
             mismatches += 1
     worked = solve_tranche_dp(atoms([0.0, 5.0, 10.0], [0.5, 0.3, 0.2]), 0.95, 2)
     elapsed = time.perf_counter() - start

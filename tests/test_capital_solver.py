@@ -1,5 +1,5 @@
 """Tests for the tranche solver (the free-group walk that ``solve_tranche_dp``
-runs), the enumeration oracle, and overhead search."""
+runs), the exact oracles it is held to, and overhead search."""
 
 import itertools
 import math
@@ -7,15 +7,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     OracleTooLarge,
+    bits,
     brute_force_oracle,
+    exact_walk,
     near_uniform_500_atoms,
     random_dyadic_atoms,
-    reference_solve,
+    random_dyadic_law,
 )
 from varsplit import (
     AtomTooHeavy,
@@ -162,33 +164,25 @@ class TestSolveTrancheDp:
 
 class TestBruteForceOracle:
     def test_worked_instance(self):
-        assert brute_force_oracle(A3, 0.95, 2) == 10.0
+        assert brute_force_oracle([0, 5, 10], [5, 3, 2], 0.95, 2) == (1, (0.0, 10.0), 10.0, 10.0)
 
     def test_single_atom(self):
         for n in (1, 2, 5):
-            assert brute_force_oracle(atoms([7.0], [1.0]), 0.95, n) == 7.0
+            assert brute_force_oracle([7], [1], 0.95, n) == (1, (0.0, 7.0), 7.0, 7.0)
 
     def test_agrees_with_dp(self):
         """Independent enumeration and the solver cannot disagree on small inputs."""
         rng = np.random.default_rng(604)
         for _ in range(50):
-            model = random_dyadic_atoms(rng)
+            values, counts = random_dyadic_law(rng)
             alpha = float(rng.choice([0.9, 0.95, 0.99]))
             n = int(rng.integers(1, 5))
-            assert brute_force_oracle(model, alpha, n) == solve_tranche_dp(
-                model, alpha, n
-            ).capital
+            res = solve_tranche_dp(atoms(values, np.array(counts) / 256), alpha, n)
+            assert bits(res) == bits(brute_force_oracle(values, counts, alpha, n))
 
     def test_size_guard(self):
-        big = atoms(np.arange(13, dtype=float) + 1.0, np.full(13, 1.0 / 13.0))
         with pytest.raises(OracleTooLarge, match="oracle bound"):
-            brute_force_oracle(big, 0.95, 2)
-
-    def test_atoms_only(self):
-        with pytest.raises(InvalidBounds, match="explicit atom lists"):
-            brute_force_oracle(uniform(0.0, 1.0), 0.95, 2)
-        with pytest.raises(InvalidBounds, match="at least one group"):
-            brute_force_oracle(A3, 0.95, 0)
+            brute_force_oracle(list(range(1, 14)), [1] * 13, 0.95, 2)
 
 
 class TestOverheadSchedule:
@@ -276,22 +270,32 @@ class TestSolveWithOverhead:
             assert res.objective >= res.capital >= 0.0
 
 
+def model_of(law, as_samples: bool):
+    """The law of integer weights on values as an atom list or as a sample."""
+    values, weights = law
+    if as_samples:
+        return empirical(np.repeat(np.array(values, dtype=float), weights))
+    return atoms(values, np.array(weights) / sum(weights))
+
+
 @st.composite
 def solver_cases(draw):
-    """A finite law with integer weights over their (non-dyadic) sum, as atoms
-    or as samples; a level; a unit budget 1..m + 1; and an overhead schedule.
-    A heavy top atom outweighs 1 - alpha, so capital never reaches 0."""
-    m = draw(st.integers(1, 12))
-    values = sorted(draw(st.sets(st.integers(0, 60), min_size=m, max_size=m)))
+    """A law of at most 12 integer values with integer weights over their
+    (non-dyadic) sum, with no atom at 0, a light one or a heavy one; whether
+    to take it as atoms or as samples; a level; a unit budget 1..m + 1; and
+    an overhead schedule. A heavy top atom outweighs 1 - alpha, so capital
+    never reaches 0."""
+    m = draw(st.integers(1, 11))
+    values = sorted(draw(st.sets(st.integers(1, 60), min_size=m, max_size=m)))
     weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
     if draw(st.booleans()):
         weights[-1] *= draw(st.integers(10, 60))
-    if draw(st.booleans()):
-        model = atoms(values, np.array(weights) / sum(weights))
-    else:
-        model = empirical(np.repeat(np.array(values, dtype=float), weights))
+    zero = draw(st.sampled_from([None, 1, 9 * sum(weights)]))
+    if zero is not None:
+        values, weights = [0, *values], [zero, *weights]
+    as_samples = draw(st.booleans())
     alpha = draw(st.sampled_from([0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97]))
-    n_max = draw(st.integers(1, m + 1))
+    n_max = draw(st.integers(1, len(values) + 1))
     variant = draw(st.sampled_from(["none", "linear", "table"]))
     if variant == "none":
         sched = OverheadSchedule()
@@ -301,35 +305,34 @@ def solver_cases(draw):
         costs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0]),
                               min_size=n_max, max_size=n_max + 2))
         sched = OverheadSchedule(costs=sorted(costs))
-    return model, alpha, n_max, sched
-
-
-def outcome(solve, case):
-    """The solve's numbers as exact float bit patterns, or its error."""
-    try:
-        res = solve(*case)
-    except InvalidBounds as exc:
-        return type(exc), str(exc)
-    return (
-        res.best_n,
-        [float(c).hex() for c in res.partition.cuts],
-        float(res.capital).hex(),
-        float(res.objective).hex(),
-    )
+    return (values, weights), as_samples, alpha, n_max, sched
 
 
 @settings(max_examples=400)
 @given(solver_cases())
-@example((atoms([27, 28, 58], np.array([7, 1, 6]) / 14), 0.5, 2, OverheadSchedule(rate=1.0)))
-@example((atoms([0, 3, 7, 12], np.array([1, 4, 2, 7]) / 14), 0.8, 4, OverheadSchedule()))
-@example((atoms([0, 1, 2], [0.97, 0.01, 0.02]), 0.95, 3, OverheadSchedule()))
-def test_solver_matches_the_exact_row_reference(case):
+@example((([27, 28, 58], [7, 1, 6]), False, 0.5, 2, OverheadSchedule(rate=1.0)))
+@example((([0, 3, 7, 12], [1, 4, 2, 7]), False, 0.8, 4, OverheadSchedule()))
+@example((([0, 1, 2], [97, 1, 2]), False, 0.95, 3, OverheadSchedule()))
+def test_solver_matches_the_exact_brute_force(case):
     """The walk over free groups, with its one costly group first, reports
-    exactly what the exact-r table that kept every row reports. The
-    reference groups the positive atoms only, so a law with an atom at 0,
-    light or heavy, shows that the solver's one table over every atom
-    prices and cuts it alike."""
-    assert outcome(solve_with_overhead, case) == outcome(reference_solve, case)
+    bit for bit what enumerating every split in exact arithmetic reports:
+    the unit count, the cuts, the capital and the objective. The oracle
+    prices each group by the exact quantile of its unit, so a law with an
+    atom at 0, light or heavy, shows that the solver's guarded float table
+    decides every group as exact arithmetic does."""
+    law, as_samples, alpha, n_max, sched = case
+    res = solve_with_overhead(model_of(law, as_samples), alpha, n_max, sched)
+    assert bits(res) == bits(brute_force_oracle(*law, alpha, n_max, sched))
+
+
+@settings(max_examples=400)
+@given(solver_cases())
+def test_the_exact_walk_matches_the_brute_force(case):
+    """The lemma the solver rests on, checked in exact arithmetic: the walk
+    over free groups on integer prefix sums finds what enumerating every
+    split finds, zero atoms included."""
+    law, _, alpha, n_max, sched = case
+    assert exact_walk(*law, alpha, n_max, sched) == brute_force_oracle(*law, alpha, n_max, sched)
 
 
 @st.composite
@@ -419,9 +422,9 @@ def test_the_walk_reads_the_table_in_place():
 
 
 def test_solver_matches_the_reference_on_larger_laws():
-    """Bit for bit against the exact-r reference on 20 laws of 50 to 300
-    distinct atoms, each as atoms and as samples. Integer weights over a sum
-    that is not a power of two make every atom probability non-dyadic."""
+    """Bit for bit against the exact walk on 20 laws of 50 to 300 distinct
+    atoms, each as atoms and as samples. Integer weights over a sum that is
+    not a power of two make every atom probability non-dyadic."""
     rng = np.random.default_rng(2021)
     for _ in range(20):
         m = int(rng.integers(50, 301))
@@ -432,9 +435,9 @@ def test_solver_matches_the_reference_on_larger_laws():
         alpha = float(rng.choice([0.9, 0.95, 0.99, 0.995]))
         n_max = int(rng.integers(1, m + 2))
         sched = OverheadSchedule(rate=float(rng.choice([0.0, 0.5, 3.0])))
+        want = bits(exact_walk(values.tolist(), weights.tolist(), alpha, n_max, sched))
         for model in (atoms(values, weights / weights.sum()), empirical(np.repeat(values, weights))):
-            case = (model, alpha, n_max, sched)
-            assert outcome(solve_with_overhead, case) == outcome(reference_solve, case)
+            assert bits(solve_with_overhead(model, alpha, n_max, sched)) == want
 
 
 @settings(max_examples=200)
@@ -442,11 +445,9 @@ def test_solver_matches_the_reference_on_larger_laws():
 def test_one_costly_tranche_and_it_comes_first(case):
     """The lemma the solver rests on: at the fewest groups for its capital,
     every tranche but the first is free, and the first pays all of it."""
-    model, alpha = case[:2]
-    try:
-        res = solve_with_overhead(*case)
-    except InvalidBounds:
-        assume(False)
+    law, as_samples, alpha, n_max, sched = case
+    model = model_of(law, as_samples)
+    res = solve_with_overhead(model, alpha, n_max, sched)
     _, tranche_vars, _ = decompose(model, res.partition, alpha)
     assert tranche_vars[0] == res.capital
     assert not np.any(tranche_vars[1:])

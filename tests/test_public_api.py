@@ -10,7 +10,7 @@ PUBLIC = [
     "AtomTooHeavy", "CsvFormatError", "EmptySupport", "Interval", "InvalidBounds",
     "InvalidLevel", "LossModel", "MASS_GUARD", "NInsufficient", "NegativeLoss",
     "OverheadSchedule", "Partition", "PartitionMismatch", "ProbsNotNormalized",
-    "SolveResult", "VarsplitError", "additivity_gap", "atoms", "build_model",
+    "SolveResult", "VarsplitError", "atoms", "build_model",
     "build_partition", "decompose", "empirical", "es_of_tranche",
     "expected_shortfall", "intervals_from_cuts", "load_losses_csv", "mass_in",
     "min_subsidiaries", "order_stat_rank", "randomized_assign", "randomized_unit_price",

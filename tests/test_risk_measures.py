@@ -1,4 +1,5 @@
-"""Tests for VaR, expected shortfall, tranche pricing, and the additivity gap."""
+"""Tests for VaR, expected shortfall, tranche pricing, and the additivity gap
+(summed tranche VaR less whole-book VaR)."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from varsplit import (
     InvalidLevel,
     Partition,
     PartitionMismatch,
-    additivity_gap,
     atoms,
     build_partition,
     decompose,
@@ -42,7 +42,6 @@ LEVEL_ENTRY_POINTS = {
     "es_of_tranche": lambda lvl: es_of_tranche(A3, Interval(0.0, 10.0, True), lvl),
     "build_partition": lambda lvl: build_partition(A3, lvl),
     "decompose": lambda lvl: decompose(A3, Partition((0.0, 10.0)), lvl),
-    "additivity_gap": lambda lvl: additivity_gap(A3, Partition((0.0, 10.0)), lvl),
     "min_subsidiaries": lambda lvl: min_subsidiaries(lvl),
     "randomized_unit_price": lambda lvl: randomized_unit_price(A3, 21, lvl),
     "solve_with_overhead": lambda lvl: solve_with_overhead(A3, lvl, 2),
@@ -300,44 +299,42 @@ class TestEsOfTranche:
             assert es_of_tranche(model, iv, alpha) >= var_of_tranche(model, iv, alpha) - 1e-9
 
 
+def summed_var(model, cuts, alpha: float) -> float:
+    """The tranche VaRs of ``decompose`` added in tranche order, as a report's
+    ``sum_tranche_vars`` adds them."""
+    _, tranche_vars, _ = decompose(model, Partition(cuts), alpha)
+    return sum(tranche_vars.tolist())
+
+
 class TestAdditivityGap:
+    """The gap is the summed tranche VaR less the whole-book VaR; the report's
+    ``additivity_gap`` field is pinned in ``test_cli.py``."""
+
     def test_uniform_scheme_erases_the_charge(self):
-        partition = build_partition(U01, 0.95)
-        assert additivity_gap(U01, partition, 0.95) == -0.95
+        assert summed_var(U01, build_partition(U01, 0.95).cuts, 0.95) == 0.0
+        assert var(U01, 0.95) == 0.95
 
     def test_single_tranche_is_neutral(self):
-        assert additivity_gap(U01, Partition((0.0, 1.0)), 0.95) == 0.0
-        assert additivity_gap(A3, Partition((0.0, 10.0)), 0.95) == 0.0
+        assert summed_var(U01, (0.0, 1.0), 0.95) == var(U01, 0.95)
+        assert summed_var(A3, (0.0, 10.0), 0.95) == var(A3, 0.95)
 
     def test_two_atom_split_keeps_the_top(self):
         """Isolating the zero atom leaves all capital on the {5, 10} side."""
-        assert additivity_gap(A3, Partition((0.0, 2.5, 10.0)), 0.95) == 0.0
+        assert summed_var(A3, (0.0, 2.5, 10.0), 0.95) == var(A3, 0.95)
 
     def test_two_equal_uniform_tranches(self):
-        assert additivity_gap(U01, Partition((0.0, 0.5, 1.0)), 0.95) == pytest.approx(
+        assert summed_var(U01, (0.0, 0.5, 1.0), 0.95) - var(U01, 0.95) == pytest.approx(
             -0.95 + 0.45 + 0.95, abs=1e-12
         )
 
     def test_refuses_cuts_that_do_not_cover_the_support(self):
-        """Cuts that stop short drop the 10-atom's mass and read as -5.0, a
+        """Cuts that stop short would drop the 10-atom's mass and read as a
         false arbitrage; cuts past the top, or starting above 0, are refused too."""
         for cuts in ((0.0, 7.0), (0.0, 5.0, 20.0)):
             with pytest.raises(PartitionMismatch, match="ends at"):
-                additivity_gap(A3, Partition(cuts), 0.95)
+                summed_var(A3, cuts, 0.95)
         with pytest.raises(InvalidBounds, match="must start at 0"):
-            additivity_gap(A3, Partition((1.0, 10.0)), 0.95)
-
-    def test_total_capital_is_the_reports_sum(self):
-        """The gap adds the tranche VaRs in order, as the report's
-        ``sum_tranche_vars`` does; numpy's pairwise sum rounds differently here."""
-        values = [k / 7 for k in range(1, 11)]
-        model = atoms(values, [0.1] * 10)
-        cuts = (0.0, *[(a + b) / 2 for a, b in zip(values, values[1:])], values[-1])
-        _, tranche_vars, _ = decompose(model, Partition(cuts), 0.95)
-        total = sum(tranche_vars.tolist())
-        assert total == 7.857142857142857 != float(np.sum(tranche_vars))
-        gap = additivity_gap(model, Partition(cuts), 0.95)
-        assert gap == total - var(model, 0.95) == 6.428571428571428
+            summed_var(A3, (1.0, 10.0), 0.95)
 
     def test_subadditive_direction_for_es(self):
         """Tranche ES never undercuts whole-book ES on tested partitions."""

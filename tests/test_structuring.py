@@ -67,8 +67,9 @@ def near_edge_probs(draw):
 
 @st.composite
 def split_cases(draw):
-    """A feasible atoms or empirical model, a level, and a tranche count from
-    the greedy one up to three past the atom count."""
+    """A feasible atoms or empirical model, a level, a tranche count from the
+    greedy one up to three past the atom count, and the integer weights the
+    model's values carry."""
     m = draw(st.integers(1, 40))
     values = sorted(draw(st.sets(st.integers(0, 90), min_size=m, max_size=m)))
     weights = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
@@ -81,7 +82,7 @@ def split_cases(draw):
         greedy = build_partition(model, alpha).n_tranches
     except AtomTooHeavy:
         reject()
-    return model, alpha, draw(st.integers(greedy, m + 3))
+    return model, alpha, draw(st.integers(greedy, m + 3)), weights
 
 
 @st.composite
@@ -90,7 +91,7 @@ def priced_splits(draw):
     atoms or empirical model (ties, an atom at 0, empty slivers), an
     equal-mass split of a uniform model, or one tranche over the support."""
     if draw(st.booleans()):
-        model, alpha, n = draw(split_cases())
+        model, alpha, n, _ = draw(split_cases())
         part = build_partition(model, alpha, n)
     else:
         lower = draw(st.one_of(st.sampled_from([0.0, 1.0 / 3.0, 7.3]), st.floats(0.0, 10.0)))
@@ -257,18 +258,21 @@ class TestBuildPartitionDiscrete:
             build_partition(model, 0.5, 5)
 
     @given(split_cases())
-    @example((atoms(np.arange(1.0, 9.0), np.full(8, 0.125)), 0.1, 6))
+    @example((atoms(np.arange(1.0, 9.0), np.full(8, 0.125)), 0.1, 6, [1] * 8))
     def test_split_matches_the_pair_list_reference(self, case):
         """Every count from the greedy one to past the atom count cuts where
-        the [start, end] pair-list split cut, ties on width included."""
-        model, alpha, n = case
-        assert build_partition(model, alpha, n).cuts == reference_partition_cuts(model, alpha, n)
+        the [start, end] pair-list split cut, ties on width included. The
+        reference groups by exact mass on the integer weights, so a group the
+        guarded float rule misjudged would show here."""
+        model, alpha, n, weights = case
+        want = reference_partition_cuts(model.law.values.tolist(), weights, alpha, n)
+        assert build_partition(model, alpha, n).cuts == want
 
     # At 0.8 the greedy widths are 3,3,3,3,3,1: five groups tie, so counts 6
     # to 16 check the leftmost-first order at every split, and 17 to 19 the
     # slivers after it.
     for _n in range(6, 20):
-        test_split_matches_the_pair_list_reference = example((SIXTEENTHS, 0.8, _n))(
+        test_split_matches_the_pair_list_reference = example((SIXTEENTHS, 0.8, _n, [1] * 16))(
             test_split_matches_the_pair_list_reference
         )
     del _n
