@@ -35,7 +35,6 @@ from .loss_model import (
     atoms,
     build_model,
     empirical,
-    intervals_from_cuts,
     load_losses_csv,
     mass_in,
     order_stat_rank,

@@ -276,21 +276,6 @@ class UniformLaw:
         return rng.uniform(self.lower, self.upper, size=n)
 
 
-def intervals_from_cuts(cuts: Sequence[float]) -> list[Interval]:
-    """Turn increasing cut points into consecutive intervals.
-
-    All intervals are half-open except the last, which is closed on the right
-    so the top of the support is covered.
-    """
-    pts = [float(c) for c in cuts]
-    if len(pts) < 2:
-        raise InvalidBounds("need at least two cut points to form an interval")
-    last = len(pts) - 2
-    return [
-        Interval(pts[k], pts[k + 1], closed_hi=(k == last)) for k in range(len(pts) - 1)
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class LossModel:
     """A bounded loss distribution on ``[0, max_loss]``: its law and its label.

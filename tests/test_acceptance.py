@@ -8,7 +8,6 @@ the test names.  Tolerances are pinned in the assertions, not recomputed.
 import time
 
 import numpy as np
-import pytest
 
 from helpers import (
     bits,
@@ -26,9 +25,7 @@ from varsplit import (
     build_partition,
     decompose,
     empirical,
-    es_of_tranche,
     expected_shortfall,
-    intervals_from_cuts,
     min_subsidiaries,
     randomized_assign,
     randomized_unit_price,
@@ -182,16 +179,11 @@ def test_criterion_7_expected_shortfall_resists():
     details = []
     for alpha in (0.90, 0.95, 0.99):
         partition = build_partition(U01, alpha)
-        total = sum(
-            es_of_tranche(U01, iv, alpha) for iv in intervals_from_cuts(partition.cuts)
-        )
+        total = sum(decompose(U01, partition, alpha)[2].tolist())
         book = expected_shortfall(U01, alpha)
         ok &= book > 0.0 and total >= book
         details.append(f"alpha={alpha}: sum ES={total:.3f} >= ES(X)={book:.3f}")
-    total_21 = sum(
-        es_of_tranche(U01, iv, 0.95)
-        for iv in intervals_from_cuts(build_partition(U01, 0.95).cuts)
-    )
+    total_21 = sum(decompose(U01, build_partition(U01, 0.95), 0.95)[2].tolist())
     ok &= abs(total_21 - 10.0) <= 1e-9
     details.append(f"21-tranche sum ES = {total_21!r} (target 10 +- 1e-9)")
     _report(7, ok, "; ".join(details))

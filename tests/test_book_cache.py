@@ -196,6 +196,33 @@ def test_cache_home_that_is_a_file_changes_nothing(tmp_path):
         assert code == 0 and err == ""
 
 
+def test_relative_cache_home_falls_back_to_the_home_cache(tmp_path, monkeypatch):
+    """A relative ``XDG_CACHE_HOME`` is not read from the working directory:
+    the entry goes under ``~/.cache``, and the output is unchanged."""
+    book = write_book(tmp_path / "book.csv", [0.0, 1.5, 1.5, 4.0])
+    argv = ["es", "--input", book, "--alpha", "0.5"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    got = run(argv, "relative")
+    assert len(entries(tmp_path / ".cache")) == 1
+    assert not (tmp_path / "relative").exists()
+    assert got == run(argv, tmp_path / "xdg")
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    """A directory where the entry goes makes the rename fail: the temp file
+    is removed and the command prints what a cold run prints."""
+    book = write_book(tmp_path / "book.csv", [0.0, 1.0, 1.0, 4.0, 9.5])
+    argv = ["decompose", "--input", book, "--alpha", "0.5", "--format", "csv"]
+    cold = run(argv, tmp_path / "cold")
+    [entry] = entries(tmp_path / "cold")
+    blocked = tmp_path / "xdg" / entry.relative_to(tmp_path / "cold")
+    blocked.mkdir(parents=True)
+    assert run(argv, tmp_path / "xdg") == cold
+    assert entries(tmp_path / "xdg") == [blocked]
+    assert not any(blocked.iterdir())
+
+
 def test_failed_parse_writes_nothing(tmp_path):
     book = tmp_path / "bad.csv"
     book.write_text("loss\n1.5\nabc\n")

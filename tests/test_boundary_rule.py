@@ -22,7 +22,6 @@ from varsplit import (
     atoms,
     decompose,
     empirical,
-    intervals_from_cuts,
     solve_tranche_dp,
     solve_with_overhead,
     var,
@@ -69,10 +68,10 @@ def probs(law) -> list[Fraction]:
     return [Fraction(w, total) for w in law[1]]
 
 
-def unit_law(law, iv) -> tuple[list, list[Fraction]]:
-    """The law of X * 1{X in iv}, its zeros first: they carry the rest of the
-    weight. ``iv`` is ``[lo, hi)``, or ``[lo, hi]`` when it is a partition's last."""
-    inside = [iv.lo <= v < iv.hi or (iv.closed_hi and v == iv.hi) for v in law[0]]
+def unit_law(law, lo, hi, closed: bool) -> tuple[list, list[Fraction]]:
+    """The law of X * 1{X in [lo, hi)}, or of [lo, hi] when ``closed`` (a
+    partition's last tranche), its zeros first: they carry the rest of the weight."""
+    inside = [lo <= v < hi or (closed and v == hi) for v in law[0]]
     hit = [(v, w) for v, w, x in zip(law[0], probs(law), inside) if v > 0 and x]
     return [0, *(v for v, _ in hit)], [1 - sum(w for _, w in hit), *(w for _, w in hit)]
 
@@ -142,9 +141,10 @@ def test_solver_matches_repricing_and_oracle(law, alpha, n):
     want = bits(brute_force_oracle(*law, alpha, n))
     for model in both_models(law):
         res = solve_tranche_dp(model, alpha, n)
+        cuts = res.partition.cuts
         exact = sum(
-            exact_quantile(*unit_law(law, iv), str(alpha))
-            for iv in intervals_from_cuts(res.partition.cuts)
+            exact_quantile(*unit_law(law, lo, hi, hi == cuts[-1]), str(alpha))
+            for lo, hi in zip(cuts, cuts[1:])
         )
         _, tranche_vars, _ = decompose(model, res.partition, alpha)
         assert sum(tranche_vars.tolist()) == res.capital
@@ -201,7 +201,7 @@ def test_var_and_price_match_the_exact_decimal_quantile():
                 cells = [(var(model, alpha), law)]
                 for cuts in splits:
                     _, tranche_vars, _ = decompose(model, Partition(cuts), alpha)
-                    units = [unit_law(law, iv) for iv in intervals_from_cuts(cuts)]
+                    units = [unit_law(law, lo, hi, hi == top) for lo, hi in zip(cuts, cuts[1:])]
                     cells += zip(tranche_vars.tolist(), units)
                 for got, (vals, ps) in cells:
                     if got == exact_quantile(vals, ps, text):

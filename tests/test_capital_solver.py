@@ -28,13 +28,11 @@ from varsplit import (
     build_partition,
     decompose,
     empirical,
-    intervals_from_cuts,
     randomized_unit_price,
     solve_tranche_dp,
     solve_with_overhead,
     uniform,
     var,
-    var_of_tranche,
 )
 from varsplit.structuring import _mass_ok
 
@@ -116,11 +114,8 @@ class TestSolveTrancheDp:
         cases.append((atoms([0.7, 0.1 * 7, 5.0], [0.3, 0.3, 0.4]), 0.5, 3))
         for model, alpha, n in cases:
             res = solve_tranche_dp(model, alpha, n)
-            total = sum(
-                var_of_tranche(model, iv, alpha)
-                for iv in intervals_from_cuts(res.partition.cuts)
-            )
-            assert total == res.capital
+            _, tranche_vars, _ = decompose(model, res.partition, alpha)
+            assert sum(tranche_vars.tolist()) == res.capital
             assert res.partition.n_tranches == res.best_n <= n
         res20 = solve_tranche_dp(near_uniform_500_atoms(), 0.95, 20)
         _, tranche_vars, _ = decompose(near_uniform_500_atoms(), res20.partition, 0.95)

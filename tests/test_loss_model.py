@@ -13,12 +13,13 @@ from varsplit import (
     InvalidLevel,
     CsvFormatError,
     NegativeLoss,
+    Partition,
     ProbsNotNormalized,
     VarsplitError,
     atoms,
     build_model,
+    decompose,
     empirical,
-    intervals_from_cuts,
     load_losses_csv,
     mass_in,
     order_stat_rank,
@@ -313,24 +314,25 @@ class TestMassIn:
     )
     def test_partition_masses_sum_to_one(self, model):
         cuts = [0.0, 0.15, 0.35, 0.55, 0.8, 1.0]
-        total = sum(mass_in(model, iv) for iv in intervals_from_cuts(cuts))
+        total = sum(decompose(model, Partition(cuts), 0.95)[0].tolist())
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestIntervals:
-    """An interval holds a loss x when ``mass_in`` gives a point mass at x weight 1."""
+    """A tranche holds a loss x when a point mass at x prices it at mass 1."""
+
+    @staticmethod
+    def held(cuts, x):
+        masses, _, _ = atoms([x], [1.0]).law.price(cuts, 0.5)
+        return masses.tolist()
 
     def test_last_interval_is_closed(self):
-        ivs = intervals_from_cuts([0.0, 0.5, 1.0])
-        assert [iv.closed_hi for iv in ivs] == [False, True]
-        held = [[mass_in(atoms([x], [1.0]), iv) for x in (0.0, 0.5, 1.0)] for iv in ivs]
-        assert held == [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+        held = [self.held([0.0, 0.5, 1.0], x) for x in (0.0, 0.5, 1.0)]
+        assert held == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
 
     def test_every_point_lands_in_exactly_one(self):
-        ivs = intervals_from_cuts([0.0, 0.25, 0.5, 1.0])
         for x in (0.0, 0.1, 0.25, 0.49999, 0.5, 0.75, 1.0):
-            held = sorted(mass_in(atoms([x], [1.0]), iv) for iv in ivs)
-            assert held == [0.0, 0.0, 1.0]
+            assert sorted(self.held([0.0, 0.25, 0.5, 1.0], x)) == [0.0, 0.0, 1.0]
 
     def test_interval_validation(self):
         with pytest.raises(InvalidBounds):
@@ -339,8 +341,6 @@ class TestIntervals:
             Interval(-0.1, 0.5)
         with pytest.raises(InvalidBounds, match="must be finite"):
             Interval(0.0, np.inf)
-        with pytest.raises(InvalidBounds):
-            intervals_from_cuts([0.0])
 
 
 class TestSampling:

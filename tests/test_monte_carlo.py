@@ -19,7 +19,6 @@ from varsplit import (
     VarsplitError,
     build_model,
     empirical,
-    intervals_from_cuts,
     load_losses_csv,
     order_stat_rank,
     randomized_assign,
@@ -52,13 +51,14 @@ def sources(draw):
 def columns(command, report, losses):
     """Each unit's loss in every trial, one full-length column per unit."""
     if command.action == "simulate":
+        cuts = report.cuts
         return [
             np.where(
-                (losses >= iv.lo) & ((losses < iv.hi) | (iv.closed_hi & (losses == iv.hi))),
+                (losses >= lo) & ((losses < hi) | ((hi == cuts[-1]) & (losses == hi))),
                 losses,
                 0.0,
             )
-            for iv in intervals_from_cuts(report.cuts)
+            for lo, hi in zip(cuts, cuts[1:])
         ]
     idx = randomized_assign(report.n_units, _substream(command.seed, 1), losses)
     return [np.where(idx == j, losses, 0.0) for j in range(report.n_units)]

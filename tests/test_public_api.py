@@ -12,7 +12,7 @@ PUBLIC = [
     "OverheadSchedule", "Partition", "PartitionMismatch", "ProbsNotNormalized",
     "SolveResult", "VarsplitError", "atoms", "build_model",
     "build_partition", "decompose", "empirical", "es_of_tranche",
-    "expected_shortfall", "intervals_from_cuts", "load_losses_csv", "mass_in",
+    "expected_shortfall", "load_losses_csv", "mass_in",
     "min_subsidiaries", "order_stat_rank", "randomized_assign", "randomized_unit_price",
     "sample", "solve_tranche_dp", "solve_with_overhead", "uniform", "var",
     "var_of_tranche",

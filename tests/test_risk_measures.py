@@ -19,7 +19,6 @@ from varsplit import (
     empirical,
     es_of_tranche,
     expected_shortfall,
-    intervals_from_cuts,
     min_subsidiaries,
     randomized_unit_price,
     sample,
@@ -343,7 +342,5 @@ class TestAdditivityGap:
             (U01, (0.0, 0.5, 1.0)),
             (A3, (0.0, 2.5, 7.5, 10.0)),
         ):
-            total = sum(
-                es_of_tranche(model, iv, 0.95) for iv in intervals_from_cuts(cuts)
-            )
+            total = sum(decompose(model, Partition(cuts), 0.95)[2].tolist())
             assert total >= expected_shortfall(model, 0.95) - 1e-9

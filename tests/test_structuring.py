@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import varsplit.cli
 from varsplit import (
     AtomTooHeavy,
+    Interval,
     InvalidBounds,
     NInsufficient,
     Partition,
@@ -23,7 +24,6 @@ from varsplit import (
     decompose,
     empirical,
     es_of_tranche,
-    intervals_from_cuts,
     mass_in,
     min_subsidiaries,
     randomized_assign,
@@ -161,8 +161,8 @@ class TestPartitionType:
     def test_tranche_count_and_closure(self):
         part = Partition((0.0, 0.5, 1.0))
         assert part.n_tranches == 2
-        ivs = intervals_from_cuts(part.cuts)
-        assert [iv.closed_hi for iv in ivs] == [False, True]
+        masses, _, _ = decompose(atoms([0.0, 0.5, 1.0], [0.25, 0.25, 0.5]), part, 0.5)
+        assert masses.tolist() == [0.25, 0.75]
 
 
 class TestBuildPartitionUniform:
@@ -172,8 +172,8 @@ class TestBuildPartitionUniform:
         assert part.cuts[0] == 0.0 and part.cuts[-1] == 1.0
         for k in range(1, 21):
             assert part.cuts[k] == var(U01, k / 21)
-        masses = [mass_in(U01, iv) for iv in intervals_from_cuts(part.cuts)]
-        assert max(abs(m - 1.0 / 21.0) for m in masses) < 1e-12
+        masses, _, _ = decompose(U01, part, 0.95)
+        assert max(abs(m - 1.0 / 21.0) for m in masses.tolist()) < 1e-12
 
     def test_shifted_support(self):
         model = uniform(1.0, 3.0)
@@ -374,9 +374,11 @@ class TestDecompose:
         """Each column equals its one-tranche function on every interval, bit for bit."""
         model, alpha, part = case
         got = zip(*decompose(model, part, alpha).tolist())
+        cuts = part.cuts
+        ivs = [Interval(lo, hi, closed_hi=hi == cuts[-1]) for lo, hi in zip(cuts, cuts[1:])]
         want = [
             (mass_in(model, iv), var_of_tranche(model, iv, alpha), es_of_tranche(model, iv, alpha))
-            for iv in intervals_from_cuts(part.cuts)
+            for iv in ivs
         ]
         assert [[float.hex(x) for x in row] for row in got] == [
             [float.hex(x) for x in row] for row in want
@@ -573,8 +575,9 @@ class TestZeroCapitalProperty:
         """Simulated tranche quantiles agree with the two analytic routes."""
         losses = sample(U01, seed=99, n=10**5)
         emp_model = empirical(losses)
-        part = Partition((0.0, 0.5, 1.0))
-        for iv, analytic in zip(intervals_from_cuts(part.cuts), (0.45, 0.95)):
+        cuts = (0.0, 0.5, 1.0)
+        for lo, hi, analytic in zip(cuts, cuts[1:], (0.45, 0.95)):
+            iv = Interval(lo, hi, closed_hi=hi == cuts[-1])
             if iv.closed_hi:
                 mask = (losses >= iv.lo) & (losses <= iv.hi)
             else:
